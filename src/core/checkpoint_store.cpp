@@ -126,8 +126,9 @@ std::optional<TrainerCheckpoint> CheckpointStore::latest() const {
     try {
       return TrainerCheckpoint::deserialize(read_file(path));
     } catch (const std::exception& error) {
-      // Torn write or bit rot: the CRC (or the structural checks) rejected
-      // the blob; fall back to the next-newest retained checkpoint.
+      // Torn write, bit rot or a retired format: the frame (or the body's
+      // structural checks) rejected the blob; fall back to the next-newest
+      // retained checkpoint.
       util::log_warn() << "checkpoint: skipping corrupt " << path.string() << ": "
                        << error.what();
     }

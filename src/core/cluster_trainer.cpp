@@ -6,8 +6,10 @@
 #include <stdexcept>
 
 #include "fftgrad/analysis/causality.h"
+#include "fftgrad/core/compression_stats.h"
 #include "fftgrad/core/error_feedback.h"
 #include "fftgrad/core/registry.h"
+#include "fftgrad/core/replica_state.h"
 #include "fftgrad/nn/loss.h"
 #include "fftgrad/telemetry/ledger.h"
 #include "fftgrad/telemetry/metrics.h"
@@ -20,6 +22,8 @@
 namespace fftgrad::core {
 namespace {
 
+using telemetry::HealthCondition;
+
 /// Bounded retries for one rejoin state transfer. The transfer fate is
 /// cluster-agreed (peer_transfer's `ok`), so every rank gives up together.
 constexpr std::size_t kRejoinTransferAttempts = 8;
@@ -30,62 +34,23 @@ constexpr std::size_t kRejoinTransferAttempts = 8;
 /// they only shape what the rejoiner *sends*, so replica identity — which
 /// rests on params and momentum — is exact.
 struct RejoinState {
-  std::uint64_t iteration = 0;  ///< the iteration the survivors are entering
-  std::vector<float> params;
-  std::vector<std::vector<float>> velocity;
-  std::vector<float> residual;  ///< donor's EF residual ({} if no EF codec)
-  double theta = 0.0;           ///< donor codec's current theta
+  ReplicaState live;  ///< iteration = the one the survivors are entering
+  double theta = 0.0;            ///< donor codec's current theta
   bool fallback_active = false;  ///< lossless-codec fallback already applied
   std::vector<std::uint8_t> controller_state;  ///< RecoveryController sync
-  // Donor's rollback snapshot, so a rollback decided before the rejoiner's
-  // next snapshot point restores the same weights everywhere.
-  bool has_snapshot = false;
-  std::uint64_t snapshot_iteration = 0;
-  std::vector<float> snapshot_params;
-  std::vector<std::vector<float>> snapshot_velocity;
-  std::vector<float> snapshot_residual;
+  /// Donor's rollback snapshot, so a rollback decided before the rejoiner's
+  /// next snapshot point restores the same weights everywhere.
+  std::optional<ReplicaState> snapshot;
 };
-
-void put_floats(std::vector<std::uint8_t>& blob, std::span<const float> values) {
-  wire::put<std::uint64_t>(blob, values.size());
-  wire::put_span<float>(blob, values);
-}
-
-void put_buffers(std::vector<std::uint8_t>& blob,
-                 const std::vector<std::vector<float>>& buffers) {
-  wire::put<std::uint64_t>(blob, buffers.size());
-  for (const std::vector<float>& buffer : buffers) put_floats(blob, buffer);
-}
-
-std::vector<float> get_floats(wire::Reader& reader) {
-  std::vector<float> values(reader.get_count(sizeof(float)));
-  reader.get_span<float>(values);
-  return values;
-}
-
-std::vector<std::vector<float>> get_buffers(wire::Reader& reader) {
-  std::vector<std::vector<float>> buffers(reader.get_count(sizeof(std::uint64_t)));
-  for (std::vector<float>& buffer : buffers) buffer = get_floats(reader);
-  return buffers;
-}
 
 std::vector<std::uint8_t> serialize_rejoin_state(const RejoinState& state) {
   std::vector<std::uint8_t> blob;
-  wire::put<std::uint64_t>(blob, state.iteration);
-  put_floats(blob, state.params);
-  put_buffers(blob, state.velocity);
-  put_floats(blob, state.residual);
+  state.live.encode(blob);
   wire::put<double>(blob, state.theta);
   wire::put<std::uint8_t>(blob, state.fallback_active ? 1 : 0);
-  wire::put<std::uint64_t>(blob, state.controller_state.size());
-  wire::put_span<std::uint8_t>(blob, state.controller_state);
-  wire::put<std::uint8_t>(blob, state.has_snapshot ? 1 : 0);
-  if (state.has_snapshot) {
-    wire::put<std::uint64_t>(blob, state.snapshot_iteration);
-    put_floats(blob, state.snapshot_params);
-    put_buffers(blob, state.snapshot_velocity);
-    put_floats(blob, state.snapshot_residual);
-  }
+  wire::put_vector<std::uint8_t>(blob, state.controller_state);
+  wire::put<std::uint8_t>(blob, state.snapshot ? 1 : 0);
+  if (state.snapshot) state.snapshot->encode(blob);
   return blob;
 }
 
@@ -94,21 +59,11 @@ std::vector<std::uint8_t> serialize_rejoin_state(const RejoinState& state) {
 RejoinState parse_rejoin_state(std::span<const std::uint8_t> blob) {
   wire::Reader reader(blob);
   RejoinState state;
-  state.iteration = reader.get<std::uint64_t>();
-  state.params = get_floats(reader);
-  state.velocity = get_buffers(reader);
-  state.residual = get_floats(reader);
+  state.live = ReplicaState::decode(reader);
   state.theta = reader.get<double>();
   state.fallback_active = reader.get<std::uint8_t>() != 0;
-  state.controller_state.resize(reader.get_count(1));
-  reader.get_span<std::uint8_t>(state.controller_state);
-  state.has_snapshot = reader.get<std::uint8_t>() != 0;
-  if (state.has_snapshot) {
-    state.snapshot_iteration = reader.get<std::uint64_t>();
-    state.snapshot_params = get_floats(reader);
-    state.snapshot_velocity = get_buffers(reader);
-    state.snapshot_residual = get_floats(reader);
-  }
+  state.controller_state = reader.get_vector<std::uint8_t>();
+  if (reader.get<std::uint8_t>() != 0) state.snapshot = ReplicaState::decode(reader);
   return state;
 }
 
@@ -120,6 +75,9 @@ ClusterTrainResult cluster_train(
     const std::function<std::unique_ptr<GradientCompressor>(std::size_t)>& compressor_factory,
     const nn::SyntheticDataset& dataset) {
   if (config.ranks == 0) throw std::invalid_argument("cluster_train: ranks must be >= 1");
+  if (config.recovery.enabled && config.recovery.snapshot_every == 0) {
+    throw std::invalid_argument("cluster_train: recovery.snapshot_every must be >= 1");
+  }
 
   ClusterTrainResult result;
   std::vector<std::vector<float>> final_params(config.ranks);
@@ -142,6 +100,8 @@ ClusterTrainResult cluster_train(
 
   const comm::FaultPlan& plan = cluster.faults();
   const bool recovery_enabled = config.recovery.enabled;
+  // The recovery controller's conditions use the ledger's thresholds.
+  const telemetry::LedgerTolerances tolerances = telemetry::RunLedger::global().tolerances();
 
   const auto clocks = cluster.run(config.ranks, [&](comm::RankContext& ctx) {
     const std::size_t rank = ctx.rank();
@@ -200,58 +160,18 @@ ClusterTrainResult cluster_train(
     RecoveryController recovery(config.recovery);
     // In-memory rollback snapshot, refreshed every snapshot_every
     // iterations at the same points on every rank.
-    struct Snapshot {
-      bool valid = false;
-      std::uint64_t iteration = 0;
-      std::vector<float> params;
-      std::vector<std::vector<float>> velocity;
-      std::vector<float> residual;
-    } snapshot;
-
-    const auto take_snapshot = [&](std::uint64_t iter) {
-      snapshot.valid = true;
-      snapshot.iteration = iter;
-      snapshot.params.resize(grad_size);
-      model.copy_params(snapshot.params);
-      snapshot.velocity = optimizer.velocity();
-      if (const auto* ef = ef_codec()) {
-        snapshot.residual.assign(ef->residual().begin(), ef->residual().end());
-      }
-    };
-    const auto restore_snapshot = [&]() {
-      if (!snapshot.valid) return;  // nothing captured yet (consistent everywhere)
-      model.set_params(snapshot.params);
-      optimizer.set_velocity(snapshot.velocity);
-      if (auto* ef = ef_codec(); ef != nullptr && !snapshot.residual.empty()) {
-        ef->set_residual(snapshot.residual);
-      }
-    };
+    std::optional<ReplicaState> snapshot;
 
     // Donor side of the rejoin handshake: pack the full replica state the
     // rejoiner needs into one CRC-framed packet.
     const auto make_rejoin_blob = [&](std::uint64_t iter) {
       RejoinState state;
-      state.iteration = iter;
-      state.params.resize(grad_size);
-      model.copy_params(state.params);
-      state.velocity = optimizer.velocity();
-      if (const auto* ef = ef_codec()) {
-        state.residual.assign(ef->residual().begin(), ef->residual().end());
-      }
+      state.live = ReplicaState::capture(iter, model, optimizer, *codec);
       state.theta = codec->theta();
       state.fallback_active = recovery.fallback_active();
       if (recovery_enabled) state.controller_state = recovery.save_decision_state();
-      state.has_snapshot = snapshot.valid;
-      if (snapshot.valid) {
-        state.snapshot_iteration = snapshot.iteration;
-        state.snapshot_params = snapshot.params;
-        state.snapshot_velocity = snapshot.velocity;
-        state.snapshot_residual = snapshot.residual;
-      }
-      Packet packet;
-      packet.bytes = serialize_rejoin_state(state);
-      packet.elements = grad_size;
-      return wire::frame_packet(packet);
+      state.snapshot = snapshot;
+      return wire::frame_packet({serialize_rejoin_state(state), grad_size});
     };
 
     // One peer_transfer per cohort member, donor -> rejoiner, with a
@@ -292,32 +212,22 @@ ClusterTrainResult cluster_train(
               .release(
                   [&](const wire::WireFrame& f) { return f.packet.elements == grad_size; },
                   "rejoin state frame");
-      const RejoinState state = parse_rejoin_state(frame.packet.bytes);
-      model.set_params(state.params);
-      optimizer.set_velocity(state.velocity);
+      RejoinState state = parse_rejoin_state(frame.packet.bytes);
       if (state.fallback_active) {
         codec = make_compressor("none");
       } else {
         codec->set_theta(state.theta);
       }
-      if (auto* ef = ef_codec(); ef != nullptr && !state.residual.empty()) {
-        ef->set_residual(state.residual);
-      }
+      state.live.apply(model, optimizer, *codec);
       if (recovery_enabled) recovery.load_decision_state(state.controller_state);
-      snapshot.valid = state.has_snapshot;
-      if (state.has_snapshot) {
-        snapshot.iteration = state.snapshot_iteration;
-        snapshot.params = state.snapshot_params;
-        snapshot.velocity = state.snapshot_velocity;
-        snapshot.residual = state.snapshot_residual;
-      }
+      snapshot = std::move(state.snapshot);
       // Replay the private batch stream: an uninterrupted run would have
       // drawn exactly `iteration` batches before this point.
       batch_rng = util::Rng(config.seed * 7919 + rank);
-      for (std::uint64_t i = 0; i < state.iteration; ++i) {
+      for (std::uint64_t i = 0; i < state.live.iteration; ++i) {
         (void)dataset.sample(config.batch_per_rank, batch_rng);
       }
-      return static_cast<std::size_t>(state.iteration);
+      return static_cast<std::size_t>(state.live.iteration);
     };
 
     double last_loss = 0.0;
@@ -335,15 +245,11 @@ ClusterTrainResult cluster_train(
           if (!admitted.empty()) run_transfers(admitted, iter, nullptr);
         }
         if (recovery_enabled && iter % config.recovery.snapshot_every == 0) {
-          take_snapshot(iter);
+          snapshot = ReplicaState::capture(iter, model, optimizer, *codec);
         }
 
         const std::size_t skips_at_entry = rank_skips[rank];
-        telemetry::LedgerIteration row;
-        util::WallSeconds forward_s{};
-        util::WallSeconds backward_s{};
-        util::WallSeconds compress_s{};
-        util::WallSeconds decompress_s{};
+        telemetry::LedgerIteration row;  // also the recovery flags' input
         // SimCluster::run bound this thread to its rank track, so these
         // spans land per rank on the wall timeline (and the collective's
         // span inside allgather also lands on the simulated timeline).
@@ -353,7 +259,7 @@ ClusterTrainResult cluster_train(
           telemetry::TraceSpan span("forward", "trainer");
           util::WallTimer timer;
           last_loss = criterion.forward(model.forward(batch.inputs), batch.labels);
-          forward_s = timer.elapsed();
+          row.forward_s = timer.elapsed();
         }
         if (compute_model != nullptr) charge("forward", compute_model->forward_s);
         losses[rank][iter] = last_loss;
@@ -362,7 +268,7 @@ ClusterTrainResult cluster_train(
           util::WallTimer timer;
           model.backward(criterion.backward());
           model.copy_gradients(gradient);
-          backward_s = timer.elapsed();
+          row.backward_s = timer.elapsed();
         }
         if (compute_model != nullptr) charge("backward", compute_model->backward_s);
 
@@ -391,7 +297,7 @@ ClusterTrainResult cluster_train(
             row.ratio = packet.ratio();
           }
           wire = wire::frame_packet(packet, trailer);
-          compress_s = timer.elapsed();
+          row.compress_s = timer.elapsed();
         }
         if (compute_model != nullptr) {
           charge("fft", compute_model->fft_s);
@@ -492,36 +398,13 @@ ClusterTrainResult cluster_train(
               // sent came back through the full compress/wire/decompress
               // path, so (gradient, reconstructed) is exactly the paper's
               // Assumption-3.2 pair.
-              const std::span<const float> truth(gradient);
-              const std::span<const float> recon(reconstructed);
-              row.alpha = util::relative_error_alpha(truth, recon);
-              row.rms_error = util::rms_error(truth, recon);
-              for (std::size_t i = 0; i < grad_size; ++i) {
-                row.max_error = std::max(
-                    row.max_error,
-                    static_cast<double>(std::fabs(gradient[i] - reconstructed[i])));
-              }
-              row.layers.reserve(layout.size());
-              for (const nn::ParamSegment& seg : layout) {
-                row.layers.push_back(
-                    {seg.name,
-                     util::relative_error_alpha(truth.subspan(seg.offset, seg.count),
-                                                recon.subspan(seg.offset, seg.count)),
-                     util::rms_error(truth.subspan(seg.offset, seg.count),
-                                     recon.subspan(seg.offset, seg.count)),
-                     0.0});
-                for (std::size_t i = seg.offset; i < seg.offset + seg.count; ++i) {
-                  row.layers.back().max_error =
-                      std::max(row.layers.back().max_error,
-                               static_cast<double>(std::fabs(gradient[i] - reconstructed[i])));
-                }
-              }
+              record_round_trip(row, gradient, reconstructed, layout);
             }
             for (std::size_t i = 0; i < grad_size; ++i) {
               averaged[i] += reconstructed[i] * inv_decoded;
             }
           }
-          decompress_s = timer.elapsed();
+          row.decompress_s = timer.elapsed();
         }
         if (compute_model != nullptr && decoded > 0) {
           charge("inverse_fft", compute_model->inverse_fft_s);
@@ -554,19 +437,15 @@ ClusterTrainResult cluster_train(
           causality.check_agreement("trainer.state_hash", rank, iter, hash);
         }
 
+        if (ledger_on || recovery_enabled) {
+          row.loss = last_loss;
+          if (const auto* ef = ef_codec()) row.ef_residual_norm = util::l2_norm(ef->residual());
+        }
         if (ledger_on) {
           row.iteration = iter;
-          row.loss = last_loss;
           row.sim_time_s = ctx.clock().time();
-          row.forward_s = forward_s;
-          row.backward_s = backward_s;
-          row.compress_s = compress_s;
-          row.decompress_s = decompress_s;
           row.wire_bytes = util::byte_count(wire.size());
           row.skipped_peers = rank_skips[rank] - skips_at_entry;
-          if (const auto* ef = ef_codec()) {
-            row.ef_residual_norm = util::l2_norm(ef->residual());
-          }
           ledger.end_iteration(row);
         }
 
@@ -574,27 +453,21 @@ ClusterTrainResult cluster_train(
         // flags through a real (modelled) collective so the remedy decision
         // is identical everywhere, then apply it before the next step.
         if (recovery_enabled) {
-          double residual_norm = -1.0;
-          if (const auto* ef = ef_codec()) residual_norm = util::l2_norm(ef->residual());
-          float flags[4] = {
-              std::isfinite(row.grad_norm) ? 0.0f : 1.0f,
-              std::isfinite(last_loss) ? 0.0f : 1.0f,
-              (row.ratio > 0.0 && row.ratio < config.recovery.min_ratio) ? 1.0f : 0.0f,
-              (residual_norm >= 0.0 && std::isfinite(row.grad_norm) &&
-               residual_norm > config.recovery.residual_growth_factor * row.grad_norm &&
-               residual_norm > 0.0)
-                  ? 1.0f
-                  : 0.0f};
+          const telemetry::HealthFlags local = telemetry::evaluate_health(row, tolerances);
+          float flags[kRemedyConditions];
+          for (std::size_t c = 0; c < kRemedyConditions; ++c) {
+            flags[c] = local.test(HealthCondition(c)) ? 1.0f : 0.0f;
+          }
           ctx.allreduce_sum(flags);
-          RecoverySignals signals;
-          signals.nan_gradient = flags[0] > 0.5f;
-          signals.nonfinite_loss = flags[1] > 0.5f;
-          signals.ratio_collapse = flags[2] > 0.5f;
-          signals.residual_growth = flags[3] > 0.5f;
-          for (RemedyAction action : recovery.step(iter, signals)) {
+          telemetry::HealthFlags agreed;
+          for (std::size_t c = 0; c < kRemedyConditions; ++c) {
+            if (flags[c] > 0.5f) agreed.set(HealthCondition(c));
+          }
+          for (RemedyAction action : recovery.step(iter, agreed)) {
             switch (action) {
               case RemedyAction::kRollback:
-                restore_snapshot();
+                // Nothing captured yet is consistent everywhere: no-op.
+                if (snapshot) snapshot->apply(model, optimizer, *codec);
                 break;
               case RemedyAction::kCodecFallback:
                 codec = make_compressor("none");

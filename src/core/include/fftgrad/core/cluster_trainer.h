@@ -63,7 +63,8 @@ struct ClusterTrainConfig {
   /// Disabled by default, in which case the collective op stream is
   /// bit-identical to a build without the recovery layer; when enabled,
   /// each iteration adds one small flag allreduce so every rank applies
-  /// the identical remedy at the identical iteration.
+  /// the identical remedy at the identical iteration. Enabled with
+  /// snapshot_every == 0 is rejected with std::invalid_argument.
   RecoveryPolicy recovery{};
 };
 

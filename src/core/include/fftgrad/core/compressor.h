@@ -99,6 +99,13 @@ void put_span(std::vector<std::uint8_t>& bytes, std::span<const T> values) {
   bytes.insert(bytes.end(), raw, raw + values.size_bytes());
 }
 
+/// A u64 element count followed by the elements.
+template <typename T>
+void put_vector(std::vector<std::uint8_t>& bytes, std::span<const T> values) {
+  put<std::uint64_t>(bytes, values.size());
+  put_span<T>(bytes, values);
+}
+
 class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
@@ -119,6 +126,14 @@ class Reader {
     if (at_ + out.size_bytes() > bytes_.size()) throw std::runtime_error("wire: truncated packet");
     std::memcpy(out.data(), bytes_.data() + at_, out.size_bytes());
     at_ += out.size_bytes();
+  }
+
+  /// Read what put_vector() wrote; the count is checked by get_count().
+  template <typename T>
+  std::vector<T> get_vector() {
+    std::vector<T> values(get_count(sizeof(T)));
+    get_span<T>(values);
+    return values;
   }
 
   std::size_t remaining() const { return bytes_.size() - at_; }
@@ -155,9 +170,9 @@ class Reader {
 // vector clock and collective epoch; fftgrad/analysis/causality.h) in
 // FFTGRAD_ANALYSIS builds and is empty (length 0) otherwise; it sits
 // inside the checksummed region, so a corrupted trailer is rejected with
-// the same determinism as a corrupted payload. Frames are a transient
-// exchange format, never persisted, so build modes may legitimately
-// differ in whether the slot is filled — the shape is identical.
+// the same determinism as a corrupted payload. Build modes may differ in
+// whether the slot is filled; the shape is identical. Frames are also
+// persisted: an on-disk TrainerCheckpoint is one frame (empty trailer).
 
 inline constexpr std::uint32_t kFrameMagic = 0x46474632u;  // "FGF2"
 inline constexpr std::size_t kFrameHeaderBytes =

@@ -5,8 +5,9 @@
 // gradients or loss, a collapsed compression ratio, a diverging
 // error-feedback residual — but only reports it. The RecoveryController
 // closes the loop: fed the cluster-agreed condition flags once per
-// iteration, it decides which remedy the trainer applies before the next
-// step:
+// iteration (telemetry::evaluate_health, the evaluator behind the ledger's
+// alerts, under the same LedgerTolerances), it decides which remedy the
+// trainer applies before the next step:
 //
 //   nan_gradient / nonfinite_loss  ->  kRollback       restore the last
 //                                      in-memory snapshot (params, momentum,
@@ -50,19 +51,16 @@ struct RecoveryPolicy {
   /// restores the most recent one.
   std::size_t snapshot_every = 8;
   /// Consecutive ratio-collapse iterations before the codec fallback fires.
+  /// What counts as a collapse (and as residual growth) is the ledger's
+  /// LedgerTolerances: one threshold set for alerts and remedies.
   std::size_t ratio_collapse_streak = 3;
-  /// A wire ratio below this counts as a collapse (mirrors the ledger's
-  /// min_ratio monitor threshold).
-  double min_ratio = 1.0;
-  /// Residual norm above factor x gradient norm counts as residual growth.
-  double residual_growth_factor = 100.0;
   /// Theta multiplier applied by kThetaRelax (theta is the fraction of
   /// information *dropped*, so < 1 relaxes the compression).
   double theta_relax_factor = 0.5;
 
   /// FFTGRAD_RECOVERY=1 (or =on) enables the defaults above;
-  /// FFTGRAD_RECOVERY_SNAPSHOT_EVERY / _STREAK / _MIN_RATIO /
-  /// _RESIDUAL_FACTOR / _THETA_FACTOR override individual knobs.
+  /// FFTGRAD_RECOVERY_SNAPSHOT_EVERY / _STREAK / _THETA_FACTOR override
+  /// individual knobs.
   static RecoveryPolicy from_env();
 };
 
@@ -72,14 +70,9 @@ enum class RemedyAction { kNone, kRollback, kCodecFallback, kThetaRelax };
 /// "theta_relax", "none").
 const char* remedy_action_name(RemedyAction action);
 
-/// Cluster-agreed condition flags for one iteration (the trainer allreduces
-/// each rank's local observation so every rank feeds the same values).
-struct RecoverySignals {
-  bool nan_gradient = false;
-  bool nonfinite_loss = false;
-  bool ratio_collapse = false;
-  bool residual_growth = false;
-};
+/// The conditions a controller remedies are the first kRemedyConditions
+/// HealthCondition values; also the width of cluster_train's flag allreduce.
+inline constexpr std::size_t kRemedyConditions = 4;
 
 class RecoveryController {
  public:
@@ -87,9 +80,11 @@ class RecoveryController {
 
   const RecoveryPolicy& policy() const { return policy_; }
 
-  /// Feed iteration `iter`'s flags; returns the actions to apply before the
-  /// next step (usually empty). Opens a pending remediation per action.
-  std::vector<RemedyAction> step(std::uint64_t iter, const RecoverySignals& signals);
+  /// Feed iteration `iter`'s cluster-agreed flags (the trainer allreduces
+  /// each rank's evaluate_health result so every rank feeds the same
+  /// values); returns the actions to apply before the next step (usually
+  /// empty). Opens a pending remediation per action.
+  std::vector<RemedyAction> step(std::uint64_t iter, const telemetry::HealthFlags& flags);
 
   /// Charge simulated time spent executing the most recently opened
   /// remediation (e.g. the snapshot-restore or state-transfer cost).
@@ -118,11 +113,11 @@ class RecoveryController {
   void load_decision_state(std::span<const std::uint8_t> blob);
 
  private:
-  void open(std::uint64_t iter, const char* cause, RemedyAction action);
+  void open(std::uint64_t iter, telemetry::HealthCondition cause, RemedyAction action);
 
   struct Pending {
     std::uint64_t iteration = 0;
-    const char* cause = "";
+    telemetry::HealthCondition cause = telemetry::HealthCondition::kNanGradient;
     RemedyAction action = RemedyAction::kNone;
     util::SimSeconds cost_s{};
   };

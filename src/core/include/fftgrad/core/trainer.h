@@ -98,8 +98,9 @@ using CompressorFactory = std::function<std::unique_ptr<GradientCompressor>(std:
 /// crashed run bit-identically — model parameters, optimizer momentum,
 /// each rank's error-feedback residual, each rank's batch-stream RNG, and
 /// the accounting totals (sim time / wire bytes / iteration count, so the
-/// param-sync broadcast cadence stays aligned). serialize() produces a
-/// CRC-protected blob; deserialize() rejects any corruption.
+/// param-sync broadcast cadence stays aligned). serialize() produces one
+/// CRC-checked wire frame (wire::frame_packet) whose body uses the
+/// ReplicaState list helpers; deserialize() rejects any corruption.
 struct TrainerCheckpoint {
   std::uint64_t next_epoch = 0;        ///< first epoch the resumed run executes
   double sim_time_s = 0.0;
@@ -112,7 +113,8 @@ struct TrainerCheckpoint {
   std::vector<EpochRecord> epochs;     ///< records of the completed epochs
 
   std::vector<std::uint8_t> serialize() const;
-  /// Throws std::runtime_error on truncation, bad magic, or CRC mismatch.
+  /// Throws std::runtime_error on truncation, a bad frame magic or CRC, or
+  /// a body that does not parse to exactly the frame's parameter count.
   static TrainerCheckpoint deserialize(std::span<const std::uint8_t> blob);
 };
 

@@ -3,54 +3,22 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
-#include <string>
 
 #include "fftgrad/core/compressor.h"
+#include "fftgrad/telemetry/telemetry.h"
 
 namespace fftgrad::core {
+
+using telemetry::env_double;
+using telemetry::HealthCondition;
+
 namespace {
-
-/// Stable cause names, indexed for decision-state serialization.
-constexpr const char* kCauses[] = {"nan_gradient", "nonfinite_loss", "ratio_collapse",
-                                   "residual_growth"};
-
-std::uint8_t cause_id(const char* cause) {
-  for (std::uint8_t i = 0; i < 4; ++i) {
-    if (std::strcmp(cause, kCauses[i]) == 0) return i;
-  }
-  throw std::logic_error(std::string("recovery: unknown cause '") + cause + "'");
-}
 
 bool env_flag(const char* name) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return false;
   return std::strcmp(v, "0") != 0 && std::strcmp(v, "off") != 0 &&
          std::strcmp(v, "false") != 0;
-}
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  try {
-    return std::stod(v);
-  } catch (const std::exception&) {
-    return fallback;
-  }
-}
-
-/// Whether `signals` still shows the condition that opened a pending
-/// remediation for `cause`. An active lossless fallback ends a ratio
-/// collapse by construction (exact delivery cannot collapse), so its
-/// condition reads as cleared.
-bool condition_present(const RecoverySignals& signals, const char* cause,
-                       bool fallback_active) {
-  if (std::strcmp(cause, "nan_gradient") == 0) return signals.nan_gradient;
-  if (std::strcmp(cause, "nonfinite_loss") == 0) return signals.nonfinite_loss;
-  if (std::strcmp(cause, "ratio_collapse") == 0) {
-    return !fallback_active && signals.ratio_collapse;
-  }
-  if (std::strcmp(cause, "residual_growth") == 0) return signals.residual_growth;
-  return false;
 }
 
 }  // namespace
@@ -65,9 +33,6 @@ RecoveryPolicy RecoveryPolicy::from_env() {
   policy.ratio_collapse_streak = static_cast<std::size_t>(env_double(
       "FFTGRAD_RECOVERY_STREAK", static_cast<double>(policy.ratio_collapse_streak)));
   if (policy.ratio_collapse_streak == 0) policy.ratio_collapse_streak = 1;
-  policy.min_ratio = env_double("FFTGRAD_RECOVERY_MIN_RATIO", policy.min_ratio);
-  policy.residual_growth_factor =
-      env_double("FFTGRAD_RECOVERY_RESIDUAL_FACTOR", policy.residual_growth_factor);
   policy.theta_relax_factor =
       env_double("FFTGRAD_RECOVERY_THETA_FACTOR", policy.theta_relax_factor);
   return policy;
@@ -85,24 +50,28 @@ const char* remedy_action_name(RemedyAction action) {
 
 RecoveryController::RecoveryController(RecoveryPolicy policy) : policy_(policy) {}
 
-void RecoveryController::open(std::uint64_t iter, const char* cause, RemedyAction action) {
+void RecoveryController::open(std::uint64_t iter, HealthCondition cause, RemedyAction action) {
   pending_.push_back({iter, cause, action, util::SimSeconds{}});
   ++total_;
 }
 
 std::vector<RemedyAction> RecoveryController::step(std::uint64_t iter,
-                                                   const RecoverySignals& signals) {
+                                                   const telemetry::HealthFlags& flags) {
+  using enum HealthCondition;
   std::vector<RemedyAction> actions;
   if (!policy_.enabled) return actions;
 
   // Close pendings whose condition has cleared. The applied-iteration row
   // stays pending until a later step shows the signal gone, which is what
-  // makes iterations_to_recover meaningful.
+  // makes iterations_to_recover meaningful. An active lossless fallback
+  // ends a ratio collapse by construction (exact delivery cannot
+  // collapse), so that condition reads as cleared.
   for (std::size_t i = 0; i < pending_.size();) {
     const Pending& p = pending_[i];
-    if (iter > p.iteration && !condition_present(signals, p.cause, fallback_active_)) {
-      closed_.push_back({p.iteration, p.cause, remedy_action_name(p.action), p.cost_s,
-                         iter - p.iteration, true});
+    const bool present = flags.test(p.cause) && !(p.cause == kRatioCollapse && fallback_active_);
+    if (iter > p.iteration && !present) {
+      closed_.push_back({p.iteration, telemetry::health_condition_name(p.cause),
+                         remedy_action_name(p.action), p.cost_s, iter - p.iteration, true});
       pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
     } else {
       ++i;
@@ -116,26 +85,25 @@ std::vector<RemedyAction> RecoveryController::step(std::uint64_t iter,
     return false;
   };
 
-  if ((signals.nan_gradient || signals.nonfinite_loss) &&
-      !has_pending(RemedyAction::kRollback)) {
-    open(iter, signals.nan_gradient ? "nan_gradient" : "nonfinite_loss",
-         RemedyAction::kRollback);
+  const bool nan_gradient = flags.test(kNanGradient);
+  if ((nan_gradient || flags.test(kNonfiniteLoss)) && !has_pending(RemedyAction::kRollback)) {
+    open(iter, nan_gradient ? kNanGradient : kNonfiniteLoss, RemedyAction::kRollback);
     actions.push_back(RemedyAction::kRollback);
   }
 
-  if (signals.ratio_collapse && !fallback_active_) {
+  if (flags.test(kRatioCollapse) && !fallback_active_) {
     ++collapse_streak_;
     if (collapse_streak_ >= policy_.ratio_collapse_streak) {
       fallback_active_ = true;
-      open(iter, "ratio_collapse", RemedyAction::kCodecFallback);
+      open(iter, kRatioCollapse, RemedyAction::kCodecFallback);
       actions.push_back(RemedyAction::kCodecFallback);
     }
   } else {
     collapse_streak_ = 0;
   }
 
-  if (signals.residual_growth && !has_pending(RemedyAction::kThetaRelax)) {
-    open(iter, "residual_growth", RemedyAction::kThetaRelax);
+  if (flags.test(kResidualGrowth) && !has_pending(RemedyAction::kThetaRelax)) {
+    open(iter, kResidualGrowth, RemedyAction::kThetaRelax);
     actions.push_back(RemedyAction::kThetaRelax);
   }
 
@@ -153,7 +121,7 @@ std::vector<std::uint8_t> RecoveryController::save_decision_state() const {
   wire::put<std::uint64_t>(blob, pending_.size());
   for (const Pending& p : pending_) {
     wire::put<std::uint64_t>(blob, p.iteration);
-    wire::put<std::uint8_t>(blob, cause_id(p.cause));
+    wire::put<std::uint8_t>(blob, static_cast<std::uint8_t>(p.cause));
     wire::put<std::uint8_t>(blob, static_cast<std::uint8_t>(p.action));
     wire::put<double>(blob, p.cost_s.to_double());
   }
@@ -172,10 +140,11 @@ void RecoveryController::load_decision_state(std::span<const std::uint8_t> blob)
     p.iteration = reader.get<std::uint64_t>();
     const auto cause = reader.get<std::uint8_t>();
     const auto action = reader.get<std::uint8_t>();
-    if (cause >= 4 || action > static_cast<std::uint8_t>(RemedyAction::kThetaRelax)) {
+    if (cause >= kRemedyConditions ||
+        action > static_cast<std::uint8_t>(RemedyAction::kThetaRelax)) {
       throw std::runtime_error("recovery: malformed decision-state blob");
     }
-    p.cause = kCauses[cause];
+    p.cause = static_cast<HealthCondition>(cause);
     p.action = static_cast<RemedyAction>(action);
     p.cost_s = util::SimSeconds(reader.get<double>());
     pending.push_back(p);
@@ -197,8 +166,8 @@ std::vector<telemetry::LedgerRemediation> RecoveryController::finish(
   for (const Pending& p : pending_) {
     const std::uint64_t waited =
         final_iteration > p.iteration ? final_iteration - p.iteration : 0;
-    out.push_back({p.iteration, p.cause, remedy_action_name(p.action), p.cost_s, waited,
-                   false});
+    out.push_back({p.iteration, telemetry::health_condition_name(p.cause),
+                   remedy_action_name(p.action), p.cost_s, waited, false});
   }
   pending_.clear();
   return out;

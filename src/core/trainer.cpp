@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
+#include "fftgrad/core/compression_stats.h"
 #include "fftgrad/core/error_feedback.h"
+#include "fftgrad/core/replica_state.h"
 #include "fftgrad/nn/loss.h"
 #include "fftgrad/perfmodel/cost_model.h"
 #include "fftgrad/telemetry/ledger.h"
@@ -19,9 +20,10 @@ namespace fftgrad::core {
 namespace {
 
 /// Per-rank phase durations of one simulated iteration, used to lay the
-/// Fig 2-style spans onto each rank's simulated track. The phase order
-/// mirrors the trainer's cost accounting (decompress is part of the
-/// per-rank codec time charged before the exchange).
+/// Fig 2-style spans onto each rank's simulated track and summed into the
+/// ledger row. The phase order mirrors the trainer's cost accounting
+/// (decompress is part of the per-rank codec time charged before the
+/// exchange).
 struct RankPhaseTimes {
   double forward = 0.0;
   double backward = 0.0;
@@ -29,112 +31,7 @@ struct RankPhaseTimes {
   double decompress = 0.0;
 };
 
-constexpr std::uint32_t kCheckpointMagic = 0x4647434bu;  // "FGCK"
-
-/// Serialization helpers for the nested float buffers.
-void put_floats(std::vector<std::uint8_t>& bytes, const std::vector<float>& values) {
-  wire::put<std::uint64_t>(bytes, values.size());
-  wire::put_span<const float>(bytes, values);
-}
-
-std::vector<float> get_floats(wire::Reader& reader) {
-  std::vector<float> values(reader.get_count(sizeof(float)));
-  reader.get_span<float>(values);
-  return values;
-}
-
-void put_float_lists(std::vector<std::uint8_t>& bytes,
-                     const std::vector<std::vector<float>>& lists) {
-  wire::put<std::uint64_t>(bytes, lists.size());
-  for (const auto& list : lists) put_floats(bytes, list);
-}
-
-std::vector<std::vector<float>> get_float_lists(wire::Reader& reader) {
-  std::vector<std::vector<float>> lists(reader.get_count(sizeof(std::uint64_t)));
-  for (auto& list : lists) list = get_floats(reader);
-  return lists;
-}
-
 }  // namespace
-
-std::vector<std::uint8_t> TrainerCheckpoint::serialize() const {
-  std::vector<std::uint8_t> bytes;
-  // Reserve the exact blob size up front (also sidesteps a GCC 12
-  // -Wstringop-overflow false positive on the growing inserts).
-  std::size_t total = 2 * sizeof(std::uint32_t)  // magic + crc
-                      + 7 * sizeof(std::uint64_t)  // scalars and top-level counts
-                      + 2 * sizeof(double) + params.size() * sizeof(float) +
-                      sizeof(std::uint64_t) * (velocity.size() + residuals.size()) +
-                      rng_states.size() * 6 * sizeof(std::uint64_t) +
-                      epochs.size() * (sizeof(std::uint64_t) + 7 * sizeof(double));
-  for (const auto& list : velocity) total += list.size() * sizeof(float);
-  for (const auto& list : residuals) total += list.size() * sizeof(float);
-  bytes.reserve(total);
-  wire::put<std::uint32_t>(bytes, kCheckpointMagic);
-  wire::put<std::uint32_t>(bytes, 0);  // CRC patched below
-  wire::put<std::uint64_t>(bytes, next_epoch);
-  wire::put<double>(bytes, sim_time_s);
-  wire::put<double>(bytes, total_wire_bytes);
-  wire::put<std::uint64_t>(bytes, total_iters);
-  put_floats(bytes, params);
-  put_float_lists(bytes, velocity);
-  put_float_lists(bytes, residuals);
-  wire::put<std::uint64_t>(bytes, rng_states.size());
-  for (const auto& state : rng_states) {
-    for (std::uint64_t word : state) wire::put<std::uint64_t>(bytes, word);
-  }
-  wire::put<std::uint64_t>(bytes, epochs.size());
-  for (const EpochRecord& record : epochs) {
-    wire::put<std::uint64_t>(bytes, record.epoch);
-    wire::put<double>(bytes, record.train_loss);
-    wire::put<double>(bytes, record.test_accuracy);
-    wire::put<double>(bytes, record.theta);
-    wire::put<double>(bytes, record.lr);
-    wire::put<double>(bytes, record.sim_time_s);
-    wire::put<double>(bytes, record.mean_alpha);
-    wire::put<double>(bytes, record.mean_ratio);
-  }
-  const std::uint32_t crc =
-      util::crc32(std::span<const std::uint8_t>(bytes).subspan(2 * sizeof(std::uint32_t)));
-  std::memcpy(bytes.data() + sizeof(std::uint32_t), &crc, sizeof(crc));
-  return bytes;
-}
-
-TrainerCheckpoint TrainerCheckpoint::deserialize(std::span<const std::uint8_t> blob) {
-  wire::Reader reader(blob);
-  if (reader.get<std::uint32_t>() != kCheckpointMagic) {
-    throw std::runtime_error("checkpoint: bad magic");
-  }
-  const auto expected_crc = reader.get<std::uint32_t>();
-  const std::uint32_t actual_crc = util::crc32(blob.subspan(2 * sizeof(std::uint32_t)));
-  if (actual_crc != expected_crc) {
-    throw std::runtime_error("checkpoint: checksum mismatch");
-  }
-  TrainerCheckpoint ckpt;
-  ckpt.next_epoch = reader.get<std::uint64_t>();
-  ckpt.sim_time_s = reader.get<double>();
-  ckpt.total_wire_bytes = reader.get<double>();
-  ckpt.total_iters = reader.get<std::uint64_t>();
-  ckpt.params = get_floats(reader);
-  ckpt.velocity = get_float_lists(reader);
-  ckpt.residuals = get_float_lists(reader);
-  ckpt.rng_states.resize(reader.get_count(6 * sizeof(std::uint64_t)));
-  for (auto& state : ckpt.rng_states) {
-    for (std::uint64_t& word : state) word = reader.get<std::uint64_t>();
-  }
-  ckpt.epochs.resize(reader.get_count(8 * sizeof(double)));
-  for (EpochRecord& record : ckpt.epochs) {
-    record.epoch = static_cast<std::size_t>(reader.get<std::uint64_t>());
-    record.train_loss = reader.get<double>();
-    record.test_accuracy = reader.get<double>();
-    record.theta = reader.get<double>();
-    record.lr = reader.get<double>();
-    record.sim_time_s = reader.get<double>();
-    record.mean_alpha = reader.get<double>();
-    record.mean_ratio = reader.get<double>();
-  }
-  return ckpt;
-}
 
 DistributedTrainer::DistributedTrainer(nn::Network model, nn::SyntheticDataset dataset,
                                        TrainerConfig config)
@@ -190,6 +87,8 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
   const double wire_scale =
       config_.paper_scale ? config_.paper_scale->raw_gradient_bytes / raw_bytes : 1.0;
 
+  const char* exchange_kind =
+      config_.scheme == CommScheme::kBspAllgather ? "allgather" : "ps_exchange";
   std::vector<std::unique_ptr<GradientCompressor>> compressors;
   std::vector<util::Rng> rank_rngs;
   for (std::size_t r = 0; r < config_.ranks; ++r) {
@@ -280,12 +179,7 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
     ckpt.params.resize(grad_size);
     model_.copy_params(ckpt.params);
     ckpt.velocity = optimizer.velocity();
-    ckpt.residuals.resize(config_.ranks);
-    for (std::size_t r = 0; r < config_.ranks; ++r) {
-      if (const auto* ef = dynamic_cast<const ErrorFeedbackCompressor*>(compressors[r].get())) {
-        ckpt.residuals[r].assign(ef->residual().begin(), ef->residual().end());
-      }
-    }
+    for (const auto& compressor : compressors) ckpt.residuals.push_back(residual_of(*compressor));
     for (const util::Rng& rng : rank_rngs) ckpt.rng_states.push_back(rng.save_state());
     ckpt.epochs = result.epochs;
     checkpoints_saved.add(1.0);
@@ -312,10 +206,7 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
       double slowest_rank = 0.0;
       // Ledger accumulators: per-phase sums over the rank loop (reported as
       // the across-rank mean) and the iteration's mean achieved ratio.
-      double ledger_forward_s = 0.0;
-      double ledger_backward_s = 0.0;
-      double ledger_compress_s = 0.0;
-      double ledger_decompress_s = 0.0;
+      RankPhaseTimes ledger_phases;
       double ledger_ratio_sum = 0.0;
       const double loss_before_iter = loss_sum;
 
@@ -373,38 +264,26 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
           mean_recon[i] += rank_recon[i] * inv_ranks;
         }
 
-        double rank_time;
+        // The phase split charged to the simulated timeline: the measured
+        // wall times, or in paper-scale mode the modelled split (each codec
+        // direction at the algorithm's own per-byte cost on the paper-scale
+        // message; fwd+bwd ~ 3x fwd on GPU-class substrates).
+        RankPhaseTimes phase{forward_s, backward_s, compress_s, decompress_s};
+        double rank_time = compute_s + codec_s;
         if (config_.paper_scale) {
-          // Compression + decompression, each charged at the algorithm's
-          // own modelled per-byte cost on the paper-scale message.
+          const double compute = config_.paper_scale->compute_seconds;
           const double codec_model =
               2.0 * config_.paper_scale->raw_gradient_bytes *
               compressors[r]->modeled_seconds_per_byte(config_.paper_scale->throughputs);
-          rank_time = config_.paper_scale->compute_seconds + codec_model;
-          if (tracing) {
-            // fwd+bwd ~ 3x fwd on GPU-class substrates; split the paper's
-            // combined compute figure accordingly.
-            phases[r] = {config_.paper_scale->compute_seconds / 3.0,
-                         config_.paper_scale->compute_seconds * 2.0 / 3.0, codec_model / 2.0,
-                         codec_model / 2.0};
-          }
-          if (ledger_on) {
-            // Paper-scale mode reports the modelled phase split, matching
-            // what the simulated timeline was charged.
-            ledger_forward_s += config_.paper_scale->compute_seconds / 3.0;
-            ledger_backward_s += config_.paper_scale->compute_seconds * 2.0 / 3.0;
-            ledger_compress_s += codec_model / 2.0;
-            ledger_decompress_s += codec_model / 2.0;
-          }
-        } else {
-          rank_time = compute_s + codec_s;
-          if (tracing) phases[r] = {forward_s, backward_s, compress_s, decompress_s};
-          if (ledger_on) {
-            ledger_forward_s += forward_s;
-            ledger_backward_s += backward_s;
-            ledger_compress_s += compress_s;
-            ledger_decompress_s += decompress_s;
-          }
+          phase = {compute / 3.0, compute * 2.0 / 3.0, codec_model / 2.0, codec_model / 2.0};
+          rank_time = compute + codec_model;
+        }
+        if (tracing) phases[r] = phase;
+        if (ledger_on) {
+          ledger_phases.forward += phase.forward;
+          ledger_phases.backward += phase.backward;
+          ledger_phases.compress += phase.compress;
+          ledger_phases.decompress += phase.decompress;
         }
         if (ledger_on) ledger_ratio_sum += packet.ratio();
         slowest_rank = std::max(slowest_rank, rank_time);
@@ -456,11 +335,9 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
                 ? perfmodel::communication_cost(params_wire, config_.network.bandwidth_bytes_s,
                                                 perfmodel::Ratio(mean_ratio))
                 : util::SimSeconds(0.0);
-        const char* kind =
-            config_.scheme == CommScheme::kBspAllgather ? "allgather" : "ps_exchange";
         // No sampling on this path: the analytic charge is the prediction.
         ledger.record_collective(
-            {kind, ledger_iter, wire_total, comm_s, comm_s, paper_s, 0, 0});
+            {exchange_kind, ledger_iter, wire_total, comm_s, comm_s, paper_s, 0, 0});
         if (sync_s > util::SimSeconds(0.0)) {
           ledger.record_collective({"broadcast", ledger_iter, params_wire, sync_s, sync_s,
                                     util::SimSeconds(0.0), 0, 0});
@@ -470,34 +347,17 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
         row.iteration = ledger_iter++;
         row.loss = loss_sum - loss_before_iter;  // this iteration's mean loss
         row.sim_time_s = util::SimSeconds(sim_time);
-        row.forward_s = util::WallSeconds(ledger_forward_s * inv_ranks);
-        row.backward_s = util::WallSeconds(ledger_backward_s * inv_ranks);
-        row.compress_s = util::WallSeconds(ledger_compress_s * inv_ranks);
-        row.decompress_s = util::WallSeconds(ledger_decompress_s * inv_ranks);
+        row.forward_s = util::WallSeconds(ledger_phases.forward * inv_ranks);
+        row.backward_s = util::WallSeconds(ledger_phases.backward * inv_ranks);
+        row.compress_s = util::WallSeconds(ledger_phases.compress * inv_ranks);
+        row.decompress_s = util::WallSeconds(ledger_phases.decompress * inv_ranks);
         row.grad_norm = util::l2_norm(mean_true);
-        row.alpha = util::relative_error_alpha(mean_true, mean_recon);
-        row.rms_error = util::rms_error(mean_true, mean_recon);
-        for (std::size_t i = 0; i < grad_size; ++i) {
-          row.max_error = std::max(
-              row.max_error, static_cast<double>(std::fabs(mean_true[i] - mean_recon[i])));
-        }
+        record_round_trip(row, mean_true, mean_recon, ledger_layout);
         row.ratio = mean_ratio;
         row.wire_bytes = wire_total;
         if (const auto* ef =
                 dynamic_cast<const ErrorFeedbackCompressor*>(compressors[0].get())) {
           row.ef_residual_norm = util::l2_norm(ef->residual());
-        }
-        row.layers.reserve(ledger_layout.size());
-        for (const nn::ParamSegment& seg : ledger_layout) {
-          const std::span<const float> truth(mean_true.data() + seg.offset, seg.count);
-          const std::span<const float> recon(mean_recon.data() + seg.offset, seg.count);
-          row.layers.push_back({seg.name, util::relative_error_alpha(truth, recon),
-                                util::rms_error(truth, recon), 0.0});
-          for (std::size_t i = 0; i < seg.count; ++i) {
-            row.layers.back().max_error =
-                std::max(row.layers.back().max_error,
-                         static_cast<double>(std::fabs(truth[i] - recon[i])));
-          }
         }
         ledger.end_iteration(row);
       }
@@ -506,8 +366,6 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
         // Lay one BSP iteration onto each rank's simulated track, exactly
         // as the accounting charged it: compute and codec phases back to
         // back, then the bulk-synchronous exchange ending at the barrier.
-        const char* exchange_name =
-            config_.scheme == CommScheme::kBspAllgather ? "allgather" : "ps_exchange";
         const double comm_start = iter_start_sim + slowest_rank;
         const double comm_sd = comm_s.to_double();
         const double sync_sd = sync_s.to_double();
@@ -521,7 +379,7 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
           tracer.record_sim_span(rank, "compress", "trainer", t, t + phases[r].compress);
           t += phases[r].compress;
           tracer.record_sim_span(rank, "decompress", "trainer", t, t + phases[r].decompress);
-          tracer.record_sim_span(rank, exchange_name, "comm", comm_start,
+          tracer.record_sim_span(rank, exchange_kind, "comm", comm_start,
                                  comm_start + comm_sd);
           if (sync_sd > 0.0) {
             tracer.record_sim_span(rank, "param_broadcast", "comm", comm_start + comm_sd,

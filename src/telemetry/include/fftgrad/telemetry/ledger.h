@@ -19,7 +19,9 @@
 // a faulty run they differ only by sampled-vs-expected recovery, which the
 // drift monitor's rolling window averages out.
 //
-// Health monitors run on every iteration row and fire alerts:
+// Health monitors run on every iteration row (the stateless five through
+// evaluate_health, which the recovery controller's flags also come from)
+// and fire alerts:
 //   nan_gradient     gradient norm is NaN/Inf
 //   nonfinite_loss   training loss is NaN/Inf
 //   alpha_bound      alpha >= bound (Theorem 3.3 needs alpha < 1 to
@@ -161,7 +163,7 @@ struct LedgerIteration {
 };
 
 /// Monitor thresholds; env-overridable via FFTGRAD_LEDGER_* (see
-/// telemetry::init_from_env).
+/// telemetry::init_from_env). The recovery controller reads the same set.
 struct LedgerTolerances {
   double alpha_bound = 1.0;
   double min_ratio = 1.0;
@@ -169,6 +171,35 @@ struct LedgerTolerances {
   std::size_t drift_window = 16;  ///< iterations averaged before drift fires
   double residual_growth_factor = 100.0;
 };
+
+/// The stateless monitors (see the list above). The first four are the
+/// ones a recovery controller remedies, and their values are the cause ids
+/// in its decision-state blob, so the order is part of that format.
+enum class HealthCondition : std::uint8_t {
+  kNanGradient, kNonfiniteLoss, kRatioCollapse, kResidualGrowth, kAlphaBound
+};
+
+/// Stable monitor name, shared by alert and remediation rows.
+inline const char* health_condition_name(HealthCondition condition) {
+  constexpr const char* kNames[] = {"nan_gradient", "nonfinite_loss", "ratio_collapse",
+                                    "residual_growth", "alpha_bound"};
+  return kNames[static_cast<std::size_t>(condition)];
+}
+
+/// Per-condition flags of one iteration row.
+struct HealthFlags {
+  std::uint8_t bits = 0;
+  bool test(HealthCondition c) const { return ((bits >> static_cast<unsigned>(c)) & 1u) != 0; }
+  void set(HealthCondition c) {
+    bits = static_cast<std::uint8_t>(bits | 1u << static_cast<unsigned>(c));
+  }
+};
+
+/// The one health evaluator: maps a row's grad norm, loss, alpha, ratio and
+/// EF residual norm to flags. Pure; the ledger's monitors and
+/// cluster_train's recovery flags both call it, so alerts and remedies fire
+/// on the same thresholds.
+HealthFlags evaluate_health(const LedgerIteration& row, const LedgerTolerances& tolerances);
 
 class RunLedger {
  public:

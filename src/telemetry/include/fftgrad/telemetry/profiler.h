@@ -9,7 +9,8 @@
 // ring, and a collector thread aggregates. Output is folded-stack text
 // (directly consumable by flamegraph.pl / speedscope) plus a ranked
 // hot-path table whose rows carry the enclosing span and, where the
-// symbol matches ROADMAP item 1's kernel list, a SIMD-candidate hint.
+// symbol belongs to a vectorizable kernel family, a SIMD-candidate hint
+// naming that family.
 //
 // Cost contract (matching the tracer/metrics/ledger): with the profiler
 // off, a TraceSpan still costs exactly one relaxed atomic load and no
@@ -62,7 +63,7 @@ struct HotPath {
   double self_pct = 0.0;
   double total_pct = 0.0;
   std::string top_span;   ///< span holding most of the self samples
-  std::string simd_hint;  ///< ROADMAP item 1 kernel family, "" = none
+  std::string simd_hint;  ///< SIMD-candidate kernel family, "" = none
 };
 
 class Profiler {
@@ -143,10 +144,10 @@ std::vector<HotPath> hot_paths_from(const std::vector<FoldedStack>& stacks);
 /// The hot-path table rendered as text (top_n rows).
 std::string render_hot_paths(const std::vector<HotPath>& paths, std::size_t top_n = 20);
 
-/// ROADMAP item 1 SIMD-candidate matcher: maps a (demangled) symbol to
-/// the kernel family it belongs to — FFT butterflies, half/RangeFloat
-/// quantize/dequantize, top-k threshold scan, prefix-sum packing,
-/// CRC-checked framing — or "" when it matches none.
+/// SIMD-candidate matcher: maps a (demangled) symbol to the name of the
+/// kernel family it belongs to — "fft butterflies", "half/RangeFloat
+/// quantize", "top-k threshold scan", "prefix-sum packing", "crc framing"
+/// — or "" when it matches none.
 std::string simd_candidate_hint(const std::string& symbol);
 
 }  // namespace fftgrad::telemetry

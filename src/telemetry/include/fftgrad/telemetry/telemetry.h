@@ -15,7 +15,9 @@
 //                           FFTGRAD_LEDGER_DRIFT_TOL,
 //                           FFTGRAD_LEDGER_DRIFT_WINDOW, and
 //                           FFTGRAD_LEDGER_RESIDUAL_FACTOR (see
-//                           LedgerTolerances for defaults).
+//                           LedgerTolerances for defaults); they are read
+//                           even without FFTGRAD_LEDGER, because the
+//                           recovery controller uses the same thresholds.
 //   FFTGRAD_PROFILE=1       enable the host-time sampling profiler; write
 //                           folded stacks (flamegraph input) plus a
 //                           hot-path report at exit. A value other than
@@ -38,6 +40,10 @@ namespace fftgrad::telemetry {
 /// accordingly, and register an atexit hook that writes the configured
 /// files. Idempotent; safe to call from multiple binaries' main().
 void init_from_env();
+
+/// The one parser for numeric FFTGRAD_* knobs: `fallback` when unset,
+/// empty, or (with a warning) not a complete number.
+double env_double(const char* name, double fallback);
 
 /// Write the configured trace/metrics files now (also runs at exit).
 /// No-op when init_from_env() found neither variable.

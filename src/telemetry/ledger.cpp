@@ -268,38 +268,57 @@ void RunLedger::alert_locked(const char* monitor, std::uint64_t iteration, doubl
 #endif
 }
 
-void RunLedger::run_monitors_locked(const LedgerIteration& row) {
-  std::ostringstream msg;
-  if (!std::isfinite(row.grad_norm)) {
-    msg << "gradient norm is non-finite (" << row.grad_norm << ")";
-    alert_locked("nan_gradient", row.iteration, row.grad_norm, 0.0, msg.str());
+HealthFlags evaluate_health(const LedgerIteration& row, const LedgerTolerances& tolerances) {
+  using enum HealthCondition;
+  HealthFlags flags;
+  if (!std::isfinite(row.grad_norm)) flags.set(kNanGradient);
+  if (!std::isfinite(row.loss)) flags.set(kNonfiniteLoss);
+  if (!(row.alpha < tolerances.alpha_bound)) flags.set(kAlphaBound);  // NaN alpha too
+  if (row.ratio > 0.0 && row.ratio < tolerances.min_ratio) flags.set(kRatioCollapse);
+  if (row.ef_residual_norm >= 0.0 && std::isfinite(row.grad_norm) &&
+      row.ef_residual_norm > tolerances.residual_growth_factor * row.grad_norm &&
+      row.ef_residual_norm > 0.0) {
+    flags.set(kResidualGrowth);
   }
-  if (!std::isfinite(row.loss)) {
+  return flags;
+}
+
+void RunLedger::run_monitors_locked(const LedgerIteration& row) {
+  using enum HealthCondition;
+  const HealthFlags flags = evaluate_health(row, tolerances_);
+  const auto fire = [&](HealthCondition c, double value, double bound,
+                        const std::ostringstream& msg) {
+    alert_locked(health_condition_name(c), row.iteration, value, bound, msg.str());
+  };
+  std::ostringstream msg;
+  if (flags.test(kNanGradient)) {
+    msg << "gradient norm is non-finite (" << row.grad_norm << ")";
+    fire(kNanGradient, row.grad_norm, 0.0, msg);
+  }
+  if (flags.test(kNonfiniteLoss)) {
     msg.str({});
     msg << "training loss is non-finite (" << row.loss << ")";
-    alert_locked("nonfinite_loss", row.iteration, row.loss, 0.0, msg.str());
+    fire(kNonfiniteLoss, row.loss, 0.0, msg);
   }
-  if (!(row.alpha < tolerances_.alpha_bound)) {  // catches NaN alpha too
+  if (flags.test(kAlphaBound)) {
     msg.str({});
     msg << "alpha " << row.alpha << " exceeds the Theorem-3.3 bound "
         << tolerances_.alpha_bound << " (compression error no longer contracts)";
-    alert_locked("alpha_bound", row.iteration, row.alpha, tolerances_.alpha_bound, msg.str());
+    fire(kAlphaBound, row.alpha, tolerances_.alpha_bound, msg);
   }
-  if (row.ratio > 0.0 && row.ratio < tolerances_.min_ratio) {
+  if (flags.test(kRatioCollapse)) {
     msg.str({});
     msg << "compression ratio collapsed to " << row.ratio << " (< " << tolerances_.min_ratio
         << "x): the codec is expanding the gradient";
-    alert_locked("ratio_collapse", row.iteration, row.ratio, tolerances_.min_ratio, msg.str());
+    fire(kRatioCollapse, row.ratio, tolerances_.min_ratio, msg);
   }
-  if (row.ef_residual_norm >= 0.0 && std::isfinite(row.grad_norm) &&
-      row.ef_residual_norm > tolerances_.residual_growth_factor * row.grad_norm &&
-      row.ef_residual_norm > 0.0) {
+  if (flags.test(kResidualGrowth)) {
     msg.str({});
     msg << "EF residual norm " << row.ef_residual_norm << " exceeds "
         << tolerances_.residual_growth_factor << "x the gradient norm " << row.grad_norm
         << " (error feedback diverging)";
-    alert_locked("residual_growth", row.iteration, row.ef_residual_norm,
-                 tolerances_.residual_growth_factor * row.grad_norm, msg.str());
+    fire(kResidualGrowth, row.ef_residual_norm,
+         tolerances_.residual_growth_factor * row.grad_norm, msg);
   }
 
   // Model drift: per collective kind, a rolling window of per-iteration

@@ -82,6 +82,8 @@ void analyze_critpath_configured() {
   std::fclose(f);
 }
 
+}  // namespace
+
 double env_double(const char* name, double fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
@@ -93,8 +95,6 @@ double env_double(const char* name, double fallback) {
   }
   return parsed;
 }
-
-}  // namespace
 
 void export_configured() {
   if (!trace_path().empty()) Tracer::global().export_chrome_json(trace_path());
@@ -111,6 +111,17 @@ void init_from_env() {
     const char* profile = std::getenv("FFTGRAD_PROFILE");
     const bool profile_on =
         profile != nullptr && *profile != '\0' && std::string(profile) != "0";
+    // The health thresholds apply with or without a ledger file: the
+    // recovery controller in cluster_train reads the same set.
+    LedgerTolerances tolerances;
+    tolerances.alpha_bound = env_double("FFTGRAD_LEDGER_ALPHA_BOUND", tolerances.alpha_bound);
+    tolerances.min_ratio = env_double("FFTGRAD_LEDGER_MIN_RATIO", tolerances.min_ratio);
+    tolerances.drift_rel_tol = env_double("FFTGRAD_LEDGER_DRIFT_TOL", tolerances.drift_rel_tol);
+    tolerances.drift_window = static_cast<std::size_t>(env_double(
+        "FFTGRAD_LEDGER_DRIFT_WINDOW", static_cast<double>(tolerances.drift_window)));
+    tolerances.residual_growth_factor =
+        env_double("FFTGRAD_LEDGER_RESIDUAL_FACTOR", tolerances.residual_growth_factor);
+    RunLedger::global().set_tolerances(tolerances);
     if (trace == nullptr && metrics == nullptr && ledger == nullptr && critpath == nullptr &&
         !profile_on) {
       return;
@@ -156,19 +167,7 @@ void init_from_env() {
       if (!Profiler::global().start(hz)) profile_out_path().clear();
     }
     if (ledger != nullptr && *ledger != '\0') {
-      RunLedger& run_ledger = RunLedger::global();
-      LedgerTolerances tolerances;
-      tolerances.alpha_bound =
-          env_double("FFTGRAD_LEDGER_ALPHA_BOUND", tolerances.alpha_bound);
-      tolerances.min_ratio = env_double("FFTGRAD_LEDGER_MIN_RATIO", tolerances.min_ratio);
-      tolerances.drift_rel_tol =
-          env_double("FFTGRAD_LEDGER_DRIFT_TOL", tolerances.drift_rel_tol);
-      tolerances.drift_window = static_cast<std::size_t>(env_double(
-          "FFTGRAD_LEDGER_DRIFT_WINDOW", static_cast<double>(tolerances.drift_window)));
-      tolerances.residual_growth_factor =
-          env_double("FFTGRAD_LEDGER_RESIDUAL_FACTOR", tolerances.residual_growth_factor);
-      run_ledger.set_tolerances(tolerances);
-      if (run_ledger.open(ledger)) {
+      if (RunLedger::global().open(ledger)) {
         util::log_info() << "telemetry: run ledger to " << ledger;
       }
     }

@@ -7,9 +7,12 @@
 //     streak, theta relaxation on residual growth), the
 //     iterations-to-recover bookkeeping, and the decision-state blob a
 //     rejoiner loads so it takes identical remedies from then on;
-//   * CheckpointStore — atomic temp+rename writes, bounded retention, and
-//     the kill-mid-write regression (a torn newest file must never shadow
-//     the previous valid checkpoint);
+//   * ReplicaState — capture/apply against a live replica and the shared
+//     length-prefixed encoding (fuzzed in tests/fuzz/fuzz_state.cpp);
+//   * CheckpointStore — atomic temp+rename writes, bounded retention, the
+//     kill-mid-write regression (a torn newest file must never shadow the
+//     previous valid checkpoint), and a retired-format (FGCK) blob being
+//     skipped rather than misread;
 //   * ErrorFeedbackCompressor::recredit_undelivered — the degraded-mode
 //     residual fix: an excluded own contribution is re-credited, not aged
 //     out;
@@ -18,8 +21,10 @@
 //     the network model (exact to 1e-6 on a lossless plan);
 //   * whole-cluster integration — a poisoned gradient heals via rollback, a
 //     collapsed ratio falls back to the lossless codec on every rank at the
-//     same iteration, and an armed-but-idle controller leaves the trained
-//     weights bit-identical to a run without it.
+//     same iteration, the ledger alert and the remedy share one threshold
+//     set (LedgerTolerances), a zero snapshot interval is rejected, and an
+//     armed-but-idle controller leaves the trained weights bit-identical to
+//     a run without it.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,7 +32,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <string>
@@ -41,13 +48,23 @@
 #include "fftgrad/core/error_feedback.h"
 #include "fftgrad/core/fft_compressor.h"
 #include "fftgrad/core/recovery.h"
+#include "fftgrad/core/replica_state.h"
 #include "fftgrad/nn/models.h"
 #include "fftgrad/telemetry/ledger.h"
+#include "fftgrad/util/crc32.h"
 
 namespace fftgrad::core {
 namespace {
 
+using telemetry::HealthCondition;
+using telemetry::HealthFlags;
 using telemetry::RunLedger;
+
+HealthFlags flags_of(std::initializer_list<HealthCondition> conditions) {
+  HealthFlags flags;
+  for (HealthCondition condition : conditions) flags.set(condition);
+  return flags;
+}
 
 RecoveryPolicy enabled_policy() {
   RecoveryPolicy policy;
@@ -60,7 +77,9 @@ RecoveryPolicy enabled_policy() {
 
 TEST(RecoveryController_, DisabledPolicyIgnoresEverySignal) {
   RecoveryController controller{RecoveryPolicy{}};
-  RecoverySignals everything{true, true, true, true};
+  const HealthFlags everything =
+      flags_of({HealthCondition::kNanGradient, HealthCondition::kNonfiniteLoss,
+                HealthCondition::kRatioCollapse, HealthCondition::kResidualGrowth});
   for (std::uint64_t iter = 0; iter < 5; ++iter) {
     EXPECT_TRUE(controller.step(iter, everything).empty()) << iter;
   }
@@ -71,8 +90,7 @@ TEST(RecoveryController_, DisabledPolicyIgnoresEverySignal) {
 
 TEST(RecoveryController_, NonfiniteSignalOpensOneRollbackUntilItClears) {
   RecoveryController controller{enabled_policy()};
-  RecoverySignals nan_grad;
-  nan_grad.nan_gradient = true;
+  const HealthFlags nan_grad = flags_of({HealthCondition::kNanGradient});
 
   const auto first = controller.step(3, nan_grad);
   ASSERT_EQ(first.size(), 1u);
@@ -81,7 +99,7 @@ TEST(RecoveryController_, NonfiniteSignalOpensOneRollbackUntilItClears) {
   EXPECT_TRUE(controller.step(4, nan_grad).empty());
   EXPECT_TRUE(controller.drain_closed().empty());
   // Cleared: the episode closes with the iterations it took to recover.
-  EXPECT_TRUE(controller.step(5, RecoverySignals{}).empty());
+  EXPECT_TRUE(controller.step(5, HealthFlags{}).empty());
   const auto closed = controller.drain_closed();
   ASSERT_EQ(closed.size(), 1u);
   EXPECT_EQ(closed[0].iteration, 3u);
@@ -91,8 +109,7 @@ TEST(RecoveryController_, NonfiniteSignalOpensOneRollbackUntilItClears) {
   EXPECT_TRUE(closed[0].recovered);
   EXPECT_EQ(controller.remediations_total(), 1u);
   // A later relapse opens a fresh episode.
-  RecoverySignals bad_loss;
-  bad_loss.nonfinite_loss = true;
+  const HealthFlags bad_loss = flags_of({HealthCondition::kNonfiniteLoss});
   const auto again = controller.step(8, bad_loss);
   ASSERT_EQ(again.size(), 1u);
   EXPECT_EQ(again[0], RemedyAction::kRollback);
@@ -103,12 +120,11 @@ TEST(RecoveryController_, RatioCollapseNeedsTheConfiguredStreak) {
   RecoveryPolicy policy = enabled_policy();
   policy.ratio_collapse_streak = 3;
   RecoveryController controller{policy};
-  RecoverySignals collapse;
-  collapse.ratio_collapse = true;
+  const HealthFlags collapse = flags_of({HealthCondition::kRatioCollapse});
 
   EXPECT_TRUE(controller.step(0, collapse).empty());
   // An intervening healthy iteration resets the streak.
-  EXPECT_TRUE(controller.step(1, RecoverySignals{}).empty());
+  EXPECT_TRUE(controller.step(1, HealthFlags{}).empty());
   EXPECT_TRUE(controller.step(2, collapse).empty());
   EXPECT_TRUE(controller.step(3, collapse).empty());
   const auto actions = controller.step(4, collapse);
@@ -129,14 +145,13 @@ TEST(RecoveryController_, RatioCollapseNeedsTheConfiguredStreak) {
 
 TEST(RecoveryController_, ResidualGrowthRelaxesTheta) {
   RecoveryController controller{enabled_policy()};
-  RecoverySignals growth;
-  growth.residual_growth = true;
+  const HealthFlags growth = flags_of({HealthCondition::kResidualGrowth});
   const auto actions = controller.step(7, growth);
   ASSERT_EQ(actions.size(), 1u);
   EXPECT_EQ(actions[0], RemedyAction::kThetaRelax);
   controller.charge(util::SimSeconds(0.25));
   EXPECT_TRUE(controller.step(8, growth).empty());  // pending: no duplicate
-  EXPECT_TRUE(controller.step(9, RecoverySignals{}).empty());
+  EXPECT_TRUE(controller.step(9, HealthFlags{}).empty());
   const auto closed = controller.drain_closed();
   ASSERT_EQ(closed.size(), 1u);
   EXPECT_EQ(closed[0].cause, "residual_growth");
@@ -146,8 +161,7 @@ TEST(RecoveryController_, ResidualGrowthRelaxesTheta) {
 
 TEST(RecoveryController_, FinishReportsUnrecoveredPendings) {
   RecoveryController controller{enabled_policy()};
-  RecoverySignals nan_grad;
-  nan_grad.nan_gradient = true;
+  const HealthFlags nan_grad = flags_of({HealthCondition::kNanGradient});
   ASSERT_EQ(controller.step(5, nan_grad).size(), 1u);
   const auto rows = controller.finish(12);
   ASSERT_EQ(rows.size(), 1u);
@@ -164,16 +178,15 @@ TEST(RecoveryController_, DecisionStateMakesACloneActIdentically) {
   RecoveryController donor{policy};
   // A half-built streak and an open theta-relax episode: exactly the state
   // a mid-run rejoiner must inherit to stay in lockstep.
-  RecoverySignals mixed;
-  mixed.ratio_collapse = true;
-  mixed.residual_growth = true;
+  const HealthFlags mixed =
+      flags_of({HealthCondition::kRatioCollapse, HealthCondition::kResidualGrowth});
   ASSERT_EQ(donor.step(0, mixed).size(), 1u);  // theta relax opens
   ASSERT_TRUE(donor.step(1, mixed).empty());   // streak at 2, nothing new
 
   RecoveryController rejoiner{policy};
   rejoiner.load_decision_state(donor.save_decision_state());
   for (std::uint64_t iter = 2; iter < 6; ++iter) {
-    const RecoverySignals signals = iter < 3 ? mixed : RecoverySignals{};
+    const HealthFlags signals = iter < 3 ? mixed : HealthFlags{};
     EXPECT_EQ(donor.step(iter, signals), rejoiner.step(iter, signals)) << iter;
     EXPECT_EQ(donor.fallback_active(), rejoiner.fallback_active()) << iter;
   }
@@ -191,8 +204,7 @@ TEST(RecoveryController_, DecisionStateMakesACloneActIdentically) {
 
 TEST(RecoveryController_, RejectsMalformedDecisionState) {
   RecoveryController donor{enabled_policy()};
-  RecoverySignals growth;
-  growth.residual_growth = true;
+  const HealthFlags growth = flags_of({HealthCondition::kResidualGrowth});
   ASSERT_EQ(donor.step(2, growth).size(), 1u);
   const std::vector<std::uint8_t> blob = donor.save_decision_state();
 
@@ -212,23 +224,72 @@ TEST(RecoveryPolicy_, FromEnvReadsEveryKnob) {
   ::setenv("FFTGRAD_RECOVERY", "1", 1);
   ::setenv("FFTGRAD_RECOVERY_SNAPSHOT_EVERY", "4", 1);
   ::setenv("FFTGRAD_RECOVERY_STREAK", "7", 1);
-  ::setenv("FFTGRAD_RECOVERY_MIN_RATIO", "2.5", 1);
-  ::setenv("FFTGRAD_RECOVERY_RESIDUAL_FACTOR", "50", 1);
   ::setenv("FFTGRAD_RECOVERY_THETA_FACTOR", "0.25", 1);
   const RecoveryPolicy policy = RecoveryPolicy::from_env();
   ::unsetenv("FFTGRAD_RECOVERY");
   ::unsetenv("FFTGRAD_RECOVERY_SNAPSHOT_EVERY");
   ::unsetenv("FFTGRAD_RECOVERY_STREAK");
-  ::unsetenv("FFTGRAD_RECOVERY_MIN_RATIO");
-  ::unsetenv("FFTGRAD_RECOVERY_RESIDUAL_FACTOR");
   ::unsetenv("FFTGRAD_RECOVERY_THETA_FACTOR");
   EXPECT_TRUE(policy.enabled);
   EXPECT_EQ(policy.snapshot_every, 4u);
   EXPECT_EQ(policy.ratio_collapse_streak, 7u);
-  EXPECT_DOUBLE_EQ(policy.min_ratio, 2.5);
-  EXPECT_DOUBLE_EQ(policy.residual_growth_factor, 50.0);
   EXPECT_DOUBLE_EQ(policy.theta_relax_factor, 0.25);
   EXPECT_FALSE(RecoveryPolicy::from_env().enabled);  // unset: disabled again
+}
+
+// ---------------------------------------------------------------------------
+// ReplicaState: capture/apply and the shared encoding
+
+std::unique_ptr<ErrorFeedbackCompressor> ef_fft_codec() {
+  return std::make_unique<ErrorFeedbackCompressor>(std::make_unique<FftCompressor>(
+      FftCompressorOptions{.theta = 0.5, .quantizer_bits = 10}));
+}
+
+TEST(ReplicaState_, CaptureEncodeDecodeApplyRoundTrips) {
+  util::Rng rng(5);
+  nn::Network model = nn::models::make_mlp(8, 16, 2, 3, rng);
+  nn::SgdOptimizer optimizer;
+  auto codec = ef_fft_codec();
+  // One step so the momentum and the EF residual are both non-trivial.
+  std::vector<float> gradient(model.param_count());
+  for (std::size_t i = 0; i < gradient.size(); ++i) {
+    gradient[i] = std::sin(static_cast<float>(i) * 0.37f) * 0.1f;
+  }
+  (void)codec->compress(gradient);
+  model.set_gradients(gradient);
+  optimizer.step(model, 0.05f);
+
+  const ReplicaState state = ReplicaState::capture(9, model, optimizer, *codec);
+  ASSERT_EQ(state.residual.size(), model.param_count());
+  ASSERT_FALSE(state.velocity.empty());
+  std::vector<std::uint8_t> bytes;
+  state.encode(bytes);
+  wire::Reader reader(bytes);
+  const ReplicaState back = ReplicaState::decode(reader);
+  EXPECT_EQ(reader.remaining(), 0u);
+  EXPECT_EQ(back.iteration, 9u);
+  EXPECT_EQ(back.params, state.params);
+  EXPECT_EQ(back.velocity, state.velocity);
+  EXPECT_EQ(back.residual, state.residual);
+
+  // Applied to a fresh replica, the decoded state captures back unchanged.
+  util::Rng other(6);
+  nn::Network fresh = nn::models::make_mlp(8, 16, 2, 3, other);
+  nn::SgdOptimizer fresh_optimizer;
+  auto fresh_codec = ef_fft_codec();
+  back.apply(fresh, fresh_optimizer, *fresh_codec);
+  const ReplicaState again = ReplicaState::capture(9, fresh, fresh_optimizer, *fresh_codec);
+  EXPECT_EQ(again.params, state.params);
+  EXPECT_EQ(again.velocity, state.velocity);
+  EXPECT_EQ(again.residual, state.residual);
+
+  // A lossless codec has no residual to restore; a model of another size
+  // is rejected.
+  NoopCompressor lossless;
+  EXPECT_NO_THROW(back.apply(fresh, fresh_optimizer, lossless));
+  EXPECT_TRUE(ReplicaState::capture(0, fresh, fresh_optimizer, lossless).residual.empty());
+  nn::Network smaller = nn::models::make_mlp(4, 8, 2, 3, other);
+  EXPECT_THROW(back.apply(smaller, fresh_optimizer, lossless), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -298,6 +359,47 @@ TEST(CheckpointStore_, KillMidWriteNeverShadowsThePreviousCheckpoint) {
   // Once a complete epoch-3 checkpoint lands (atomic save), it wins.
   store.save(checkpoint_at(3));
   EXPECT_EQ(store.latest()->next_epoch, 3u);
+}
+
+/// A checkpoint in the retired standalone format: "FGCK" magic, a CRC-32
+/// over the rest, then the same fields the framed format carries.
+std::vector<std::uint8_t> legacy_fgck_blob(std::uint64_t epoch) {
+  std::vector<std::uint8_t> blob;
+  wire::put<std::uint32_t>(blob, 0x4647434bu);
+  wire::put<std::uint32_t>(blob, 0);  // CRC patched below
+  wire::put<std::uint64_t>(blob, epoch);
+  wire::put<double>(blob, 0.0);
+  wire::put<double>(blob, 0.0);
+  wire::put<std::uint64_t>(blob, 0);
+  wire::put_vector<float>(blob, std::vector<float>{1.0f, 2.0f, 3.0f});
+  wire::put<std::uint64_t>(blob, 0);  // velocity lists
+  wire::put<std::uint64_t>(blob, 0);  // residual lists
+  wire::put<std::uint64_t>(blob, 1);  // one rng state
+  for (std::uint64_t word = 1; word <= 6; ++word) wire::put<std::uint64_t>(blob, word);
+  wire::put<std::uint64_t>(blob, 0);  // epoch records
+  const std::uint32_t crc = util::crc32(std::span<const std::uint8_t>(blob).subspan(8));
+  std::memcpy(blob.data() + 4, &crc, sizeof(crc));
+  return blob;
+}
+
+TEST(CheckpointStore_, LegacyFgckBlobIsRejectedAndSkipped) {
+  // Checkpoints are wire frames now; a blob in the old format must fail
+  // loudly, never be misread as a frame body.
+  const std::vector<std::uint8_t> legacy = legacy_fgck_blob(2);
+  EXPECT_THROW((void)TrainerCheckpoint::deserialize(legacy), std::runtime_error);
+
+  const std::string dir = fresh_store_dir("legacy");
+  CheckpointStore store(dir, 3);
+  store.save(checkpoint_at(1));
+  {
+    std::ofstream old(dir + "/ckpt-00000002.fgck", std::ios::binary);
+    old.write(reinterpret_cast<const char*>(legacy.data()),
+              static_cast<std::streamsize>(legacy.size()));
+  }
+  ASSERT_EQ(store.files().size(), 2u);
+  const auto latest = store.latest();
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->next_epoch, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -537,6 +639,73 @@ TEST(RecoveryCluster, RatioCollapseFallsBackToTheLosslessCodec) {
   EXPECT_EQ(result.remediations, 1u);
   EXPECT_TRUE(result.replicas_identical);
   EXPECT_TRUE(std::isfinite(result.mean_loss_last_iteration));
+}
+
+TEST(RecoveryCluster, RejectsAZeroSnapshotInterval) {
+  comm::SimCluster cluster(comm::NetworkModel::infiniband_fdr56());
+  ClusterTrainConfig cfg = small_config(2, 4);
+  cfg.recovery = enabled_policy();
+  cfg.recovery.snapshot_every = 0;
+  nn::SyntheticDataset data({8}, 3, 38);
+  EXPECT_THROW(cluster_train(cluster, cfg, mlp_factory(), noop_codec(), data),
+               std::invalid_argument);
+}
+
+/// Run a recovery-armed cluster under `tolerances` with the ledger on and
+/// return the one recorded run.
+telemetry::LedgerRun run_under_tolerances(
+    const char* tag, const telemetry::LedgerTolerances& tolerances,
+    const std::function<std::unique_ptr<GradientCompressor>(std::size_t)>& codec) {
+  LedgerSession session(tag);
+  RunLedger::global().set_tolerances(tolerances);
+  comm::SimCluster cluster(comm::NetworkModel::infiniband_fdr56());
+  ClusterTrainConfig cfg = small_config(4, 6);
+  cfg.recovery = enabled_policy();
+  cfg.recovery.ratio_collapse_streak = 2;
+  nn::SyntheticDataset data({8}, 3, 39);
+  (void)cluster_train(cluster, cfg, mlp_factory(), codec, data);
+  RunLedger::global().close();
+  RunLedger::global().set_tolerances({});
+  auto runs = telemetry::read_ledger_file(session.path());
+  EXPECT_EQ(runs.size(), 1u);
+  return runs.empty() ? telemetry::LedgerRun{} : std::move(runs[0]);
+}
+
+TEST(RecoveryCluster, RatioCollapseAlertAndFallbackShareOneThreshold) {
+  // A lossless codec has wire ratio exactly 1. Under a non-default
+  // min_ratio of 1.5 both the ledger's ratio_collapse alert and the
+  // controller's collapse flag fire from the same evaluation: alerts at
+  // iterations 0 and 1, and the codec fallback when the 2-iteration streak
+  // completes at iteration 1.
+  telemetry::LedgerTolerances strict;
+  strict.min_ratio = 1.5;
+  const telemetry::LedgerRun collapsed = run_under_tolerances("strict", strict, noop_codec());
+  std::vector<double> alert_iters;
+  for (const telemetry::JsonValue& alert : collapsed.alerts) {
+    if (alert.string_or("monitor", "") == "ratio_collapse") {
+      alert_iters.push_back(alert.number_or("iter", -1.0));
+    }
+  }
+  ASSERT_GE(alert_iters.size(), 2u);
+  EXPECT_EQ(alert_iters[0], 0.0);
+  EXPECT_EQ(alert_iters[1], 1.0);
+  ASSERT_EQ(collapsed.remediations.size(), 1u);
+  const telemetry::JsonValue& remedy = collapsed.remediations[0];
+  EXPECT_EQ(remedy.string_or("cause", ""), "ratio_collapse");
+  EXPECT_EQ(remedy.string_or("action", ""), "codec_fallback");
+  EXPECT_EQ(remedy.number_or("iter", -1.0), alert_iters[1]);
+
+  // The other direction: a 4x-padded codec (ratio 0.25) clears a lowered
+  // min_ratio of 0.2, so neither an alert nor a fallback fires, although
+  // the default threshold of 1 would trigger both.
+  telemetry::LedgerTolerances lenient;
+  lenient.min_ratio = 0.2;
+  const telemetry::LedgerRun healthy = run_under_tolerances(
+      "lenient", lenient, [](std::size_t) { return std::make_unique<PaddedCompressor>(); });
+  for (const telemetry::JsonValue& alert : healthy.alerts) {
+    EXPECT_NE(alert.string_or("monitor", ""), "ratio_collapse");
+  }
+  EXPECT_TRUE(healthy.remediations.empty());
 }
 
 TEST(RecoveryCluster, ArmedButIdleControllerLeavesWeightsBitIdentical) {
