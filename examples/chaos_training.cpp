@@ -16,9 +16,9 @@
 //     controller state) over the modelled network and the rejoiner replays
 //     its RNG stream, ending bit-identical to the survivors.
 //
-// The recovery controller is armed too (FFTGRAD_RECOVERY semantics, here
-// set in code), so monitor conditions would map to automatic remedies —
-// on this healthy-codec run it stays idle, which is itself the point.
+// The recovery controller is armed too (ClusterTrainConfig::recovery), so
+// monitor conditions would map to automatic remedies — on this
+// healthy-codec run it stays idle, which is itself the point.
 //
 // The same schedule runs once fault-free for comparison. Both runs print a
 // loss trace, and the fault counters show what the chaos actually cost.
@@ -75,14 +75,14 @@ int main() {
   // FFTGRAD_CRITPATH/FFTGRAD_TRACE run attributes every simulated second
   // (backprop, codec stages, wire+CRC, collective, retries, straggler
   // waits) instead of seeing a comm-only timeline.
-  cfg.sim_compute = core::SimComputeModel{.forward_s = util::SimSeconds(2e-3),
-                                          .backward_s = util::SimSeconds(4e-3),
-                                          .fft_s = util::SimSeconds(1.5e-3),
-                                          .quant_pack_s = util::SimSeconds(0.5e-3),
-                                          .wire_crc_s = util::SimSeconds(0.3e-3),
-                                          .inverse_fft_s = util::SimSeconds(1.0e-3),
-                                          .dequant_s = util::SimSeconds(0.4e-3),
-                                          .apply_s = util::SimSeconds(0.6e-3)};
+  cfg.sim_compute = core::PhaseCosts{.forward_s = util::SimSeconds(2e-3),
+                                     .backward_s = util::SimSeconds(4e-3),
+                                     .fft_s = util::SimSeconds(1.5e-3),
+                                     .quant_pack_s = util::SimSeconds(0.5e-3),
+                                     .wire_crc_s = util::SimSeconds(0.3e-3),
+                                     .inverse_fft_s = util::SimSeconds(1.0e-3),
+                                     .dequant_s = util::SimSeconds(0.4e-3),
+                                     .apply_s = util::SimSeconds(0.6e-3)};
 
   const auto accuracy_of = [&](const std::vector<float>& params) {
     nn::Network net = model_factory();

@@ -255,7 +255,7 @@ RunDigest report_run(const LedgerRun& run, const std::string& source, bool markd
   {
     struct RemedyAgg {
       std::uint64_t count = 0, unrecovered = 0;
-      double cost_s = 0.0, iters_to_recover = 0.0;
+      double iters_to_recover = 0.0;
     };
     std::vector<std::pair<std::string, RemedyAgg>> remedies;  // "cause -> action"
     for (const JsonValue& row : run.remediations) {
@@ -270,7 +270,6 @@ RunDigest report_run(const LedgerRun& run, const std::string& source, bool markd
         agg = &remedies.back().second;
       }
       agg->count += 1;
-      agg->cost_s += number_of(row, "cost_s");
       agg->iters_to_recover += number_of(row, "iterations_to_recover");
       const JsonValue* recovered = row.find("recovered");
       if (recovered != nullptr && !recovered->boolean) agg->unrecovered += 1;
@@ -294,11 +293,11 @@ RunDigest report_run(const LedgerRun& run, const std::string& source, bool markd
     if (!remedies.empty() || transfers > 0) {
       print_heading(markdown, "Elastic recovery");
       if (!remedies.empty()) {
-        fftgrad::util::TableWriter table({"cause -> action", "count", "cost_s",
-                                          "mean_iters_to_recover", "unrecovered"});
+        fftgrad::util::TableWriter table(
+            {"cause -> action", "count", "mean_iters_to_recover", "unrecovered"});
         table.set_double_format("%.6g");
         for (const auto& [key, agg] : remedies) {
-          table.add_row({key, static_cast<long long>(agg.count), agg.cost_s,
+          table.add_row({key, static_cast<long long>(agg.count),
                          agg.iters_to_recover / static_cast<double>(agg.count),
                          static_cast<long long>(agg.unrecovered)});
         }

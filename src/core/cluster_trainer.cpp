@@ -5,19 +5,16 @@
 #include <optional>
 #include <stdexcept>
 
+#include "bsp_step.h"
 #include "fftgrad/analysis/causality.h"
-#include "fftgrad/core/compression_stats.h"
 #include "fftgrad/core/error_feedback.h"
 #include "fftgrad/core/registry.h"
 #include "fftgrad/core/replica_state.h"
-#include "fftgrad/nn/loss.h"
 #include "fftgrad/telemetry/ledger.h"
 #include "fftgrad/telemetry/metrics.h"
 #include "fftgrad/telemetry/trace.h"
 #include "fftgrad/util/annotated_mutex.h"
 #include "fftgrad/util/crc32.h"
-#include "fftgrad/util/stats.h"
-#include "fftgrad/util/timer.h"
 
 namespace fftgrad::core {
 namespace {
@@ -108,7 +105,6 @@ ClusterTrainResult cluster_train(
     analysis::CausalityTracker& causality = cluster.causality();
     nn::Network model = model_factory();
     nn::SgdOptimizer optimizer(config.momentum);
-    nn::SoftmaxCrossEntropy criterion;
     util::Rng batch_rng(config.seed * 7919 + rank);
 
     const std::size_t grad_size = model.param_count();
@@ -125,35 +121,22 @@ ClusterTrainResult cluster_train(
     const bool ledger_on = rank == 0 && ledger.enabled();
     std::vector<nn::ParamSegment> layout;
     if (ledger_on) {
-      telemetry::LedgerManifest manifest;
-      manifest.trainer = "cluster_train";
-      manifest.compressor = codec->name();
-      manifest.ranks = config.ranks;
-      manifest.iterations = config.iterations;
-      manifest.seed = config.seed;
-      const comm::NetworkModel& net = cluster.network();
-      manifest.network = {net.name, net.latency_s, net.bandwidth_bytes_s, net.loss_rate};
-      manifest.fault_rate = cluster.faults().attempt_failure_prob();
-      ledger.begin_run(manifest);
-      layout = model.param_layout();
+      layout = bsp::begin_ledger_run("cluster_train", model, *codec, config.ranks,
+                                     config.iterations, config.seed, cluster.network(),
+                                     plan.attempt_failure_prob());
     }
+    // The recording rank keeps its own round trip's reconstruction here.
+    std::vector<float> own_recon(ledger_on ? grad_size : 0);
 
-    // Modelled compute: charge the phase's seconds to the simulated clock
-    // and emit the matching critical-path leaf span. Charges sit outside
-    // the wall-timing TraceSpans so wall measurements stay untouched.
-    const SimComputeModel* compute_model =
-        config.sim_compute.has_value() ? &*config.sim_compute : nullptr;
+    // Modelled compute (zero unless configured): charge the phase's seconds
+    // to the simulated clock and emit the matching critical-path leaf span.
+    // Charges sit outside the wall-timing TraceSpans so wall measurements
+    // stay untouched.
+    const PhaseCosts costs = config.sim_compute.value_or(PhaseCosts{});
     const auto charge = [&](const char* phase, util::SimSeconds seconds) {
-      if (compute_model == nullptr || seconds <= util::SimSeconds(0.0)) return;
-      const util::SimSeconds start = ctx.clock().time();
-      ctx.clock().advance(seconds);
-      telemetry::Tracer::global().record_sim_span(static_cast<std::int32_t>(rank), phase,
-                                                  "cp", start.to_double(),
-                                                  ctx.clock().time().to_double());
-    };
-
-    const auto ef_codec = [&]() {
-      return dynamic_cast<ErrorFeedbackCompressor*>(codec.get());
+      util::SimSeconds clock = ctx.clock().time();
+      bsp::charge(clock, rank, phase, "cp", seconds);
+      ctx.clock().set_to(clock);
     };
 
     // ---- Elastic-recovery state -------------------------------------------
@@ -253,57 +236,32 @@ ClusterTrainResult cluster_train(
         // SimCluster::run bound this thread to its rank track, so these
         // spans land per rank on the wall timeline (and the collective's
         // span inside allgather also lands on the simulated timeline).
-        const nn::Batch batch = dataset.sample(config.batch_per_rank, batch_rng);
-        model.zero_grad();
-        {
-          telemetry::TraceSpan span("forward", "trainer");
-          util::WallTimer timer;
-          last_loss = criterion.forward(model.forward(batch.inputs), batch.labels);
-          row.forward_s = timer.elapsed();
-        }
-        if (compute_model != nullptr) charge("forward", compute_model->forward_s);
+        last_loss = bsp::forward_backward(model, dataset, config.batch_per_rank, batch_rng,
+                                          gradient, row);
         losses[rank][iter] = last_loss;
-        {
-          telemetry::TraceSpan span("backward", "trainer");
-          util::WallTimer timer;
-          model.backward(criterion.backward());
-          model.copy_gradients(gradient);
-          row.backward_s = timer.elapsed();
-        }
-        if (compute_model != nullptr) charge("backward", compute_model->backward_s);
+        charge("forward", costs.forward_s);
+        charge("backward", costs.backward_s);
 
         // Compress, allgather packets, decompress every peer, average. In
         // analysis builds the frame carries the causality trailer (sender
         // clock, collective epoch, and membership view epoch) so the
         // happens-before and membership evidence travels with the bytes
         // and is re-verified from what actually arrived.
-        Packet packet;
-        std::vector<std::uint8_t> wire;
+        //
         // The membership view this rank publishes under; captured before
         // the exchange because a crash *during* the allgather advances the
         // live view, while every peer's trailer was encoded under this one.
         const std::uint64_t publish_view = ctx.view_epoch();
-        {
-          telemetry::TraceSpan span("compress", "trainer");
-          util::WallTimer timer;
-          std::vector<std::uint8_t> trailer;
-          if (causality.active()) {
-            trailer = analysis::encode_trailer(
-                causality.make_trailer(rank, ctx.op_index(), publish_view));
-          }
-          packet = codec->compress(gradient);
-          if (ledger_on || recovery_enabled) {
-            row.grad_norm = util::l2_norm(gradient);
-            row.ratio = packet.ratio();
-          }
-          wire = wire::frame_packet(packet, trailer);
-          row.compress_s = timer.elapsed();
+        std::vector<std::uint8_t> trailer;
+        if (causality.active()) {
+          trailer = analysis::encode_trailer(
+              causality.make_trailer(rank, ctx.op_index(), publish_view));
         }
-        if (compute_model != nullptr) {
-          charge("fft", compute_model->fft_s);
-          charge("quant_pack", compute_model->quant_pack_s);
-          charge("wire_crc", compute_model->wire_crc_s);
-        }
+        const Packet packet = bsp::compress(*codec, gradient, row);
+        const std::vector<std::uint8_t> wire = wire::frame_packet(packet, trailer);
+        charge("fft", costs.fft_s);
+        charge("quant_pack", costs.quant_pack_s);
+        charge("wire_crc", costs.wire_crc_s);
         const auto gathered = ctx.allgather(wire);
 
         // Unframe first (this is where the CRC rejects corrupted packets and
@@ -342,7 +300,9 @@ ClusterTrainResult cluster_train(
         // re-credit it into the residual so excluded iterations delay
         // information instead of destroying it.
         if (!frames[rank]) {
-          if (auto* ef = ef_codec()) ef->recredit_undelivered(packet);
+          if (auto* ef = dynamic_cast<ErrorFeedbackCompressor*>(codec.get())) {
+            ef->recredit_undelivered(packet);
+          }
         }
 
         // Re-verify the received causality trailers: the sender's publish
@@ -378,14 +338,13 @@ ClusterTrainResult cluster_train(
         }
 
         std::fill(averaged.begin(), averaged.end(), 0.0f);
+        std::span<const float> own;  // this rank's own round trip, if recorded
         if (decoded > 0) {
-          const float inv_decoded = 1.0f / static_cast<float>(decoded);
-          telemetry::TraceSpan span("decompress", "trainer");
-          util::WallTimer timer;
+          const float weight = 1.0f / static_cast<float>(decoded);
           for (std::size_t r = 0; r < frames.size(); ++r) {
             if (!frames[r]) continue;
             try {
-              codec->decompress(frames[r]->packet, reconstructed);
+              bsp::accumulate(*codec, frames[r]->packet, weight, reconstructed, averaged, row);
             } catch (const std::exception&) {
               // Payload passed the CRC but the codec still rejected it
               // (vanishingly rare); drop the contribution, keep the step.
@@ -394,34 +353,21 @@ ClusterTrainResult cluster_train(
               continue;
             }
             if (ledger_on && r == rank) {
-              // Round-trip quality of this rank's own gradient: the block it
-              // sent came back through the full compress/wire/decompress
-              // path, so (gradient, reconstructed) is exactly the paper's
-              // Assumption-3.2 pair.
-              record_round_trip(row, gradient, reconstructed, layout);
-            }
-            for (std::size_t i = 0; i < grad_size; ++i) {
-              averaged[i] += reconstructed[i] * inv_decoded;
+              // The block this rank sent came back through the full
+              // compress/wire/decompress path, so (gradient, own) is
+              // exactly the paper's Assumption-3.2 pair.
+              std::swap(reconstructed, own_recon);
+              own = own_recon;
             }
           }
-          row.decompress_s = timer.elapsed();
-        }
-        if (compute_model != nullptr && decoded > 0) {
-          charge("inverse_fft", compute_model->inverse_fft_s);
-          charge("dequant", compute_model->dequant_s);
+          charge("inverse_fft", costs.inverse_fft_s);
+          charge("dequant", costs.dequant_s);
+          bsp::apply(model, optimizer, averaged, config.learning_rate);
+          charge("apply", costs.apply_s);
         }
         if (decoded < gathered.size()) {
           ++rank_degraded[rank];
           degraded_iters.add(1.0);
-        }
-
-        if (decoded > 0) {
-          {
-            telemetry::TraceSpan apply_span("apply", "trainer");
-            model.set_gradients(averaged);
-            optimizer.step(model, config.learning_rate);
-          }
-          if (compute_model != nullptr) charge("apply", compute_model->apply_s);
         }
 
         // Cross-rank state-hash agreement: surviving replicas must hold
@@ -438,13 +384,12 @@ ClusterTrainResult cluster_train(
         }
 
         if (ledger_on || recovery_enabled) {
-          row.loss = last_loss;
-          if (const auto* ef = ef_codec()) row.ef_residual_norm = util::l2_norm(ef->residual());
+          bsp::fill_row(row, last_loss, gradient, own, layout, packet.ratio(),
+                        util::byte_count(wire.size()), *codec);
         }
         if (ledger_on) {
           row.iteration = iter;
           row.sim_time_s = ctx.clock().time();
-          row.wire_bytes = util::byte_count(wire.size());
           row.skipped_peers = rank_skips[rank] - skips_at_entry;
           ledger.end_iteration(row);
         }

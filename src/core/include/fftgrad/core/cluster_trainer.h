@@ -4,12 +4,13 @@
 // peers' packets locally — the paper's exact deployment (every GPU keeps a
 // copy of the global gradient after allgather).
 //
-// This is the executable counterpart of the sequential DistributedTrainer:
-// that one folds the rank loop onto a single replica (bit-identical update
-// math, 1/p the memory) and is what the figure benches use; this one keeps
-// p real replicas and real message passing, and exists to demonstrate and
-// test that the two are equivalent (test_cluster_trainer asserts parity)
-// and to serve as the template for a real MPI/NCCL integration.
+// Each rank runs the same step code as the sequential DistributedTrainer,
+// which folds the rank loop onto a single replica and is what the figure
+// benches use. What this trainer adds is the exchange itself: real
+// message passing over p replicas, unframing and causality checks, faults,
+// rejoin and recovery. test_cluster_trainer asserts that both trainers end
+// bit-identical, and this one is the template for a real MPI/NCCL
+// integration.
 #pragma once
 
 #include <cstddef>
@@ -21,33 +22,12 @@
 #include "fftgrad/comm/sim_cluster.h"
 #include "fftgrad/core/compressor.h"
 #include "fftgrad/core/recovery.h"
+#include "fftgrad/core/trainer.h"
 #include "fftgrad/nn/dataset.h"
 #include "fftgrad/nn/network.h"
 #include "fftgrad/nn/optimizer.h"
 
 namespace fftgrad::core {
-
-/// Deterministic modelled compute charged to each rank's SimClock, per
-/// iteration phase. The cluster's network costs are already modelled, but
-/// compute is only wall-*measured* by default, which keeps the simulated
-/// timeline free of compute entirely. Supplying a SimComputeModel makes
-/// the simulated iteration fully modelled — forward/backward/codec/framing
-/// time charged between the collectives — so the critical-path analyzer
-/// (fftgrad/telemetry/critical_path.h) sees a deterministic,
-/// host-independent timeline it can attribute exactly. Phases map onto the
-/// analyzer's categories: forward/backward/apply -> backprop,
-/// fft/inverse_fft -> FFT, quant_pack/dequant -> quantize/pack, wire_crc
-/// -> wire+CRC. Zero entries charge nothing.
-struct SimComputeModel {
-  util::SimSeconds forward_s{};
-  util::SimSeconds backward_s{};
-  util::SimSeconds fft_s{};         ///< forward FFT of the sparsifying codec
-  util::SimSeconds quant_pack_s{};  ///< quantize + bit-pack
-  util::SimSeconds wire_crc_s{};    ///< frame + checksum
-  util::SimSeconds inverse_fft_s{};
-  util::SimSeconds dequant_s{};     ///< unpack + dequantize
-  util::SimSeconds apply_s{};       ///< optimizer step
-};
 
 struct ClusterTrainConfig {
   std::size_t ranks = 4;
@@ -56,9 +36,14 @@ struct ClusterTrainConfig {
   float learning_rate = 0.05f;
   float momentum = 0.9f;
   std::uint64_t seed = 42;  ///< per-rank batch streams derive from this
-  /// When set, each phase charges the modelled seconds to the rank's
-  /// simulated clock (and emits the matching "cp" leaf span).
-  std::optional<SimComputeModel> sim_compute;
+  /// Modelled compute charged to each rank's SimClock. Network costs are
+  /// always modelled, but compute is only wall-*measured* by default, which
+  /// keeps the simulated timeline free of compute entirely. When set, each
+  /// phase charges its modelled seconds to the rank's simulated clock and
+  /// emits the matching "cp" leaf span, so the critical-path analyzer
+  /// (fftgrad/telemetry/critical_path.h) sees a deterministic,
+  /// host-independent timeline it can attribute exactly.
+  std::optional<PhaseCosts> sim_compute;
   /// Monitor-driven automatic remediation (fftgrad/core/recovery.h).
   /// Disabled by default, in which case the collective op stream is
   /// bit-identical to a build without the recovery layer; when enabled,

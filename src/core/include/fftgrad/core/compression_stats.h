@@ -1,15 +1,12 @@
 // Round-trip quality metrics for a compressor on a given gradient:
 // reconstruction error norms, the Assumption-3.2 alpha, and the achieved
-// wire ratio. Used by the theorem-validation and Fig 5/15 benches and by
-// both trainers' per-iteration ledger rows.
+// wire ratio. Used by the theorem-validation and Fig 5/15 benches.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "fftgrad/core/compressor.h"
-#include "fftgrad/nn/network.h"
-#include "fftgrad/telemetry/ledger.h"
 
 namespace fftgrad::core {
 
@@ -26,12 +23,5 @@ struct RoundTripStats {
 RoundTripStats measure_round_trip(GradientCompressor& compressor,
                                   std::span<const float> gradient,
                                   std::vector<float>& reconstructed);
-
-/// Fill a ledger row's round-trip quality for one (gradient, reconstruction)
-/// pair: whole-gradient alpha, rms and max error, plus one per-layer entry
-/// per `layout` segment ({} records no breakdown).
-void record_round_trip(telemetry::LedgerIteration& row, std::span<const float> truth,
-                       std::span<const float> recon,
-                       std::span<const nn::ParamSegment> layout);
 
 }  // namespace fftgrad::core

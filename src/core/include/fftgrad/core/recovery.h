@@ -19,8 +19,7 @@
 //                                      coefficients)
 //
 // Every remediation becomes a ledger `remediation` row carrying the cause,
-// the action, its simulated cost, and the iterations the condition took to
-// clear — drained via drain_closed()/finish() so a row is written exactly
+// the action, and the iterations the condition took to clear — drained via drain_closed()/finish() so a row is written exactly
 // once per event, when its outcome is known.
 //
 // Determinism contract: the controller is pure state-machine logic over the
@@ -41,7 +40,6 @@
 #include <vector>
 
 #include "fftgrad/telemetry/ledger.h"
-#include "fftgrad/util/units.h"
 
 namespace fftgrad::core {
 
@@ -57,11 +55,6 @@ struct RecoveryPolicy {
   /// Theta multiplier applied by kThetaRelax (theta is the fraction of
   /// information *dropped*, so < 1 relaxes the compression).
   double theta_relax_factor = 0.5;
-
-  /// FFTGRAD_RECOVERY=1 (or =on) enables the defaults above;
-  /// FFTGRAD_RECOVERY_SNAPSHOT_EVERY / _STREAK / _THETA_FACTOR override
-  /// individual knobs.
-  static RecoveryPolicy from_env();
 };
 
 enum class RemedyAction { kNone, kRollback, kCodecFallback, kThetaRelax };
@@ -85,10 +78,6 @@ class RecoveryController {
   /// values); returns the actions to apply before the next step (usually
   /// empty). Opens a pending remediation per action.
   std::vector<RemedyAction> step(std::uint64_t iter, const telemetry::HealthFlags& flags);
-
-  /// Charge simulated time spent executing the most recently opened
-  /// remediation (e.g. the snapshot-restore or state-transfer cost).
-  void charge(util::SimSeconds cost);
 
   /// Remediations whose condition has cleared since the last drain, ready
   /// to be written as ledger rows (recovered = true).
@@ -119,7 +108,6 @@ class RecoveryController {
     std::uint64_t iteration = 0;
     telemetry::HealthCondition cause = telemetry::HealthCondition::kNanGradient;
     RemedyAction action = RemedyAction::kNone;
-    util::SimSeconds cost_s{};
   };
 
   RecoveryPolicy policy_;

@@ -10,18 +10,21 @@
 // at 1/p the memory — while the simulated per-iteration wall time is
 // accounted as
 //
-//     max over ranks(compute + compress) + allgather(compressed blocks)
+//     max over ranks(compute + codec) + allgather(compressed blocks)
 //     + (every `param_sync_every` iters) broadcast(parameters)
 //
 // exactly the BSP timeline of Fig 1b/Sec 4.
 //
-// Two timing modes:
-//  * measured (default)  — compute/compression charge actual wall time of
-//    this host's substrate; communication comes from the NetworkModel.
-//  * paper-scale (set PaperScale) — gradient bytes are rescaled to the
-//    paper's real model sizes (AlexNet 250MB, ResNet32 6MB), compute is
-//    charged at the paper's measured per-iteration GPU time, and
-//    compression is charged through the Sec 3.3 analytic model with
+// Each rank's share of the step (batch, forward, backward, compress,
+// decode-and-average, apply) is the same code cluster_train runs on its
+// rank threads; this trainer adds the rank fold, the epoch schedules, and
+// the analytic exchange cost. What a rank's compute and codec phases cost
+// on the simulated timeline is either
+//  * measured (default) — the actual wall time of this host's substrate, or
+//  * modelled at paper scale (set PaperScale) — gradient bytes are
+//    rescaled to the paper's real model sizes (AlexNet 250MB, ResNet32
+//    6MB), and the phases are charged as PhaseCosts derived from the
+//    paper's per-iteration GPU compute time and the Sec 3.3 codec model at
 //    GPU-class primitive throughputs. Compression *accuracy* effects stay
 //    genuine — the actual gradients still round-trip through the codec.
 #pragma once
@@ -41,10 +44,34 @@
 #include "fftgrad/nn/network.h"
 #include "fftgrad/nn/optimizer.h"
 #include "fftgrad/perfmodel/cost_model.h"
+#include "fftgrad/util/units.h"
 
 namespace fftgrad::core {
 
-/// Paper-scale cost simulation parameters (timing mode 2).
+/// Modelled seconds of each phase of one rank's BSP step, charged to the
+/// simulated clock in place of measured wall time. The codec stages are
+/// split the way the critical-path analyzer
+/// (fftgrad/telemetry/critical_path.h) attributes them: forward/backward/
+/// apply -> backprop, fft/inverse_fft -> FFT, quant_pack/dequant ->
+/// quantize/pack, wire_crc -> wire+CRC. Zero entries charge nothing.
+struct PhaseCosts {
+  util::SimSeconds forward_s{};
+  util::SimSeconds backward_s{};
+  util::SimSeconds fft_s{};         ///< forward FFT of the sparsifying codec
+  util::SimSeconds quant_pack_s{};  ///< quantize + bit-pack
+  util::SimSeconds wire_crc_s{};    ///< frame + checksum
+  util::SimSeconds inverse_fft_s{};
+  util::SimSeconds dequant_s{};     ///< unpack + dequantize
+  util::SimSeconds apply_s{};       ///< optimizer step
+
+  util::SimSeconds compress_s() const { return fft_s + quant_pack_s + wire_crc_s; }
+  util::SimSeconds decompress_s() const { return inverse_fft_s + dequant_s; }
+};
+
+/// Paper-scale cost simulation parameters. The gradient's wire size is
+/// rescaled to `raw_gradient_bytes`; each rank's PhaseCosts are derived
+/// from `compute_seconds` (split 1:2 between forward and backward) and the
+/// codec's Sec 3.3 cost at `throughputs` for each direction.
 struct PaperScale {
   double raw_gradient_bytes = 250e6;  ///< wire size of the uncompressed gradient
   double compute_seconds = 0.140;     ///< per-rank fwd+bwd time per iteration

@@ -1,42 +1,12 @@
 #include "fftgrad/core/recovery.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "fftgrad/core/compressor.h"
-#include "fftgrad/telemetry/telemetry.h"
 
 namespace fftgrad::core {
 
-using telemetry::env_double;
 using telemetry::HealthCondition;
-
-namespace {
-
-bool env_flag(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  return std::strcmp(v, "0") != 0 && std::strcmp(v, "off") != 0 &&
-         std::strcmp(v, "false") != 0;
-}
-
-}  // namespace
-
-RecoveryPolicy RecoveryPolicy::from_env() {
-  RecoveryPolicy policy;
-  policy.enabled = env_flag("FFTGRAD_RECOVERY");
-  policy.snapshot_every = static_cast<std::size_t>(
-      env_double("FFTGRAD_RECOVERY_SNAPSHOT_EVERY",
-                 static_cast<double>(policy.snapshot_every)));
-  if (policy.snapshot_every == 0) policy.snapshot_every = 1;
-  policy.ratio_collapse_streak = static_cast<std::size_t>(env_double(
-      "FFTGRAD_RECOVERY_STREAK", static_cast<double>(policy.ratio_collapse_streak)));
-  if (policy.ratio_collapse_streak == 0) policy.ratio_collapse_streak = 1;
-  policy.theta_relax_factor =
-      env_double("FFTGRAD_RECOVERY_THETA_FACTOR", policy.theta_relax_factor);
-  return policy;
-}
 
 const char* remedy_action_name(RemedyAction action) {
   switch (action) {
@@ -51,7 +21,7 @@ const char* remedy_action_name(RemedyAction action) {
 RecoveryController::RecoveryController(RecoveryPolicy policy) : policy_(policy) {}
 
 void RecoveryController::open(std::uint64_t iter, HealthCondition cause, RemedyAction action) {
-  pending_.push_back({iter, cause, action, util::SimSeconds{}});
+  pending_.push_back({iter, cause, action});
   ++total_;
 }
 
@@ -71,7 +41,7 @@ std::vector<RemedyAction> RecoveryController::step(std::uint64_t iter,
     const bool present = flags.test(p.cause) && !(p.cause == kRatioCollapse && fallback_active_);
     if (iter > p.iteration && !present) {
       closed_.push_back({p.iteration, telemetry::health_condition_name(p.cause),
-                         remedy_action_name(p.action), p.cost_s, iter - p.iteration, true});
+                         remedy_action_name(p.action), iter - p.iteration, true});
       pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
     } else {
       ++i;
@@ -110,10 +80,6 @@ std::vector<RemedyAction> RecoveryController::step(std::uint64_t iter,
   return actions;
 }
 
-void RecoveryController::charge(util::SimSeconds cost) {
-  if (!pending_.empty()) pending_.back().cost_s += cost;
-}
-
 std::vector<std::uint8_t> RecoveryController::save_decision_state() const {
   std::vector<std::uint8_t> blob;
   wire::put<std::uint64_t>(blob, collapse_streak_);
@@ -123,7 +89,6 @@ std::vector<std::uint8_t> RecoveryController::save_decision_state() const {
     wire::put<std::uint64_t>(blob, p.iteration);
     wire::put<std::uint8_t>(blob, static_cast<std::uint8_t>(p.cause));
     wire::put<std::uint8_t>(blob, static_cast<std::uint8_t>(p.action));
-    wire::put<double>(blob, p.cost_s.to_double());
   }
   return blob;
 }
@@ -132,7 +97,7 @@ void RecoveryController::load_decision_state(std::span<const std::uint8_t> blob)
   wire::Reader reader(blob);
   const auto streak = reader.get<std::uint64_t>();
   const bool fallback = reader.get<std::uint8_t>() != 0;
-  const std::size_t count = reader.get_count(sizeof(std::uint64_t) + 2 + sizeof(double));
+  const std::size_t count = reader.get_count(sizeof(std::uint64_t) + 2);
   std::vector<Pending> pending;
   pending.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -146,7 +111,6 @@ void RecoveryController::load_decision_state(std::span<const std::uint8_t> blob)
     }
     p.cause = static_cast<HealthCondition>(cause);
     p.action = static_cast<RemedyAction>(action);
-    p.cost_s = util::SimSeconds(reader.get<double>());
     pending.push_back(p);
   }
   collapse_streak_ = static_cast<std::size_t>(streak);
@@ -167,7 +131,7 @@ std::vector<telemetry::LedgerRemediation> RecoveryController::finish(
     const std::uint64_t waited =
         final_iteration > p.iteration ? final_iteration - p.iteration : 0;
     out.push_back({p.iteration, telemetry::health_condition_name(p.cause),
-                   remedy_action_name(p.action), p.cost_s, waited, false});
+                   remedy_action_name(p.action), waited, false});
   }
   pending_.clear();
   return out;

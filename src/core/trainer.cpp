@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "fftgrad/core/compression_stats.h"
+#include "bsp_step.h"
 #include "fftgrad/core/error_feedback.h"
 #include "fftgrad/core/replica_state.h"
 #include "fftgrad/nn/loss.h"
@@ -17,21 +17,6 @@
 #include "fftgrad/util/timer.h"
 
 namespace fftgrad::core {
-namespace {
-
-/// Per-rank phase durations of one simulated iteration, used to lay the
-/// Fig 2-style spans onto each rank's simulated track and summed into the
-/// ledger row. The phase order mirrors the trainer's cost accounting
-/// (decompress is part of the per-rank codec time charged before the
-/// exchange).
-struct RankPhaseTimes {
-  double forward = 0.0;
-  double backward = 0.0;
-  double compress = 0.0;
-  double decompress = 0.0;
-};
-
-}  // namespace
 
 DistributedTrainer::DistributedTrainer(nn::Network model, nn::SyntheticDataset dataset,
                                        TrainerConfig config)
@@ -43,7 +28,6 @@ DistributedTrainer::DistributedTrainer(nn::Network model, nn::SyntheticDataset d
 
 double DistributedTrainer::evaluate() {
   const nn::Batch test = dataset_.test_set(config_.test_size);
-  nn::SoftmaxCrossEntropy criterion;
   std::size_t hits = 0;
   const std::size_t total = test.labels.size();
   const std::size_t input_size = dataset_.input_size();
@@ -79,7 +63,6 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
   if (telemetry::Tracer::global().enabled()) telemetry::Tracer::global().begin_sim_session();
   model_.set_params(initial_params_);
   nn::SgdOptimizer optimizer(config_.momentum);
-  nn::SoftmaxCrossEntropy criterion;
 
   const std::size_t grad_size = model_.param_count();
   const double raw_bytes = static_cast<double>(grad_size) * sizeof(float);
@@ -118,17 +101,11 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
   std::uint64_t ledger_iter = 0;  ///< row index within this run (resume-safe)
   std::vector<nn::ParamSegment> ledger_layout;
   if (ledger_on) {
-    telemetry::LedgerManifest manifest;
-    manifest.trainer = "distributed_trainer";
-    manifest.compressor = compressors[0]->name();
-    manifest.ranks = config_.ranks;
-    manifest.iterations = config_.epochs * config_.iters_per_epoch;
-    manifest.seed = config_.seed;
-    manifest.network = {config_.network.name, config_.network.latency_s,
-                        config_.network.bandwidth_bytes_s, config_.network.loss_rate};
-    manifest.fault_rate = 0.0;  // the sequential trainer has no fault plan
-    ledger.begin_run(manifest);
-    ledger_layout = model_.param_layout();
+    // The sequential trainer has no fault plan.
+    ledger_layout = bsp::begin_ledger_run("distributed_trainer", model_, *compressors[0],
+                                          config_.ranks,
+                                          config_.epochs * config_.iters_per_epoch,
+                                          config_.seed, config_.network, 0.0);
   }
 
   telemetry::MetricsRegistry& metrics = telemetry::MetricsRegistry::global();
@@ -204,53 +181,28 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
       std::fill(mean_true.begin(), mean_true.end(), 0.0f);
       std::fill(mean_recon.begin(), mean_recon.end(), 0.0f);
       double slowest_rank = 0.0;
-      // Ledger accumulators: per-phase sums over the rank loop (reported as
-      // the across-rank mean) and the iteration's mean achieved ratio.
-      RankPhaseTimes ledger_phases;
+      // The folded ledger row: phase times summed over the rank loop
+      // (reported as the across-rank mean) and the iteration's mean ratio.
+      telemetry::LedgerIteration row;
       double ledger_ratio_sum = 0.0;
       const double loss_before_iter = loss_sum;
 
-      // Only pay for the per-rank phase bookkeeping when a trace is being
-      // collected; the sim-time accounting itself is unchanged either way.
-      telemetry::Tracer& tracer = telemetry::Tracer::global();
-      const bool tracing = tracer.enabled();
-      std::vector<RankPhaseTimes> phases(tracing ? config_.ranks : 0);
+      // Only lay the per-rank phases onto the simulated tracks when a trace
+      // is being collected; the sim-time accounting is unchanged either way.
+      const bool tracing = telemetry::Tracer::global().enabled();
       const double iter_start_sim = sim_time;
+      const float weight = 1.0f / static_cast<float>(config_.ranks);
 
       for (std::size_t r = 0; r < config_.ranks; ++r) {
+        telemetry::LedgerIteration walls;
         util::WallTimer compute_timer;
-        const nn::Batch batch = dataset_.sample(config_.batch_per_rank, rank_rngs[r]);
-        model_.zero_grad();
-        util::WallTimer forward_timer;
-        {
-          telemetry::TraceSpan span("forward", "trainer");
-          const tensor::Tensor logits = model_.forward(batch.inputs);
-          loss_sum +=
-              criterion.forward(logits, batch.labels) / static_cast<double>(config_.ranks);
-        }
-        const double forward_s = forward_timer.seconds();
-        util::WallTimer backward_timer;
-        {
-          telemetry::TraceSpan span("backward", "trainer");
-          model_.backward(criterion.backward());
-          model_.copy_gradients(rank_grad);
-        }
-        const double backward_s = backward_timer.seconds();
+        loss_sum += bsp::forward_backward(model_, dataset_, config_.batch_per_rank, rank_rngs[r],
+                                          rank_grad, walls) /
+                    static_cast<double>(config_.ranks);
         const double compute_s = compute_timer.seconds();
-
-        util::WallTimer compress_timer;
-        const Packet packet = [&] {
-          telemetry::TraceSpan span("compress", "trainer");
-          return compressors[r]->compress(rank_grad);
-        }();
-        const double compress_s = compress_timer.seconds();
-        util::WallTimer decompress_timer;
-        {
-          telemetry::TraceSpan span("decompress", "trainer");
-          compressors[r]->decompress(packet, rank_recon);
-        }
-        const double decompress_s = decompress_timer.seconds();
-        const double codec_s = compress_s + decompress_s;
+        const Packet packet = bsp::compress(*compressors[r], rank_grad, walls);
+        bsp::accumulate(*compressors[r], packet, weight, rank_recon, mean_recon, walls);
+        bsp::add_scaled(mean_true, rank_grad, weight);
 
         const util::Bytes wire{static_cast<double>(packet.wire_bytes()) * wire_scale};
         block_bytes[r] = wire;
@@ -258,35 +210,34 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
         ratio_sum += packet.ratio();
         ++ratio_count;
 
-        const float inv_ranks = 1.0f / static_cast<float>(config_.ranks);
-        for (std::size_t i = 0; i < grad_size; ++i) {
-          mean_true[i] += rank_grad[i] * inv_ranks;
-          mean_recon[i] += rank_recon[i] * inv_ranks;
-        }
-
-        // The phase split charged to the simulated timeline: the measured
-        // wall times, or in paper-scale mode the modelled split (each codec
-        // direction at the algorithm's own per-byte cost on the paper-scale
-        // message; fwd+bwd ~ 3x fwd on GPU-class substrates).
-        RankPhaseTimes phase{forward_s, backward_s, compress_s, decompress_s};
-        double rank_time = compute_s + codec_s;
-        if (config_.paper_scale) {
-          const double compute = config_.paper_scale->compute_seconds;
-          const double codec_model =
-              2.0 * config_.paper_scale->raw_gradient_bytes *
-              compressors[r]->modeled_seconds_per_byte(config_.paper_scale->throughputs);
-          phase = {compute / 3.0, compute * 2.0 / 3.0, codec_model / 2.0, codec_model / 2.0};
-          rank_time = compute + codec_model;
-        }
-        if (tracing) phases[r] = phase;
-        if (ledger_on) {
-          ledger_phases.forward += phase.forward;
-          ledger_phases.backward += phase.backward;
-          ledger_phases.compress += phase.compress;
-          ledger_phases.decompress += phase.decompress;
-        }
-        if (ledger_on) ledger_ratio_sum += packet.ratio();
+        // The phases charged to the simulated timeline: the measured wall
+        // times, or at paper scale the modelled costs. The rank's time sums
+        // compute then codec; at paper scale compute is the configured
+        // total, not the sum of its forward/backward split.
+        const std::optional<PaperScale>& paper = config_.paper_scale;
+        const PhaseCosts phase =
+            paper ? bsp::paper_phase_costs(*paper, *compressors[r])
+                  : PhaseCosts{.forward_s = util::sim_from_wall(walls.forward_s),
+                               .backward_s = util::sim_from_wall(walls.backward_s),
+                               .fft_s = util::sim_from_wall(walls.compress_s),
+                               .inverse_fft_s = util::sim_from_wall(walls.decompress_s)};
+        const double rank_time = (paper ? paper->compute_seconds : compute_s) +
+                                 (phase.compress_s() + phase.decompress_s()).to_double();
         slowest_rank = std::max(slowest_rank, rank_time);
+        if (tracing) {
+          util::SimSeconds t(iter_start_sim);
+          bsp::charge(t, r, "forward", "trainer", phase.forward_s);
+          bsp::charge(t, r, "backward", "trainer", phase.backward_s);
+          bsp::charge(t, r, "compress", "trainer", phase.compress_s());
+          bsp::charge(t, r, "decompress", "trainer", phase.decompress_s());
+        }
+        if (ledger_on) {
+          row.forward_s += util::WallSeconds(phase.forward_s.to_double());
+          row.backward_s += util::WallSeconds(phase.backward_s.to_double());
+          row.compress_s += util::WallSeconds(phase.compress_s().to_double());
+          row.decompress_s += util::WallSeconds(phase.decompress_s().to_double());
+          ledger_ratio_sum += packet.ratio();
+        }
       }
 
       if (config_.record_alpha) {
@@ -296,11 +247,7 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
       }
 
       // Every replica applies the same averaged reconstructed gradient.
-      {
-        telemetry::TraceSpan span("apply", "trainer");
-        model_.set_gradients(mean_recon);
-        optimizer.step(model_, static_cast<float>(lr));
-      }
+      bsp::apply(model_, optimizer, mean_recon, static_cast<float>(lr));
 
       const util::Bytes params_wire{raw_bytes * wire_scale};
       util::SimSeconds comm_s{};
@@ -343,42 +290,27 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
                                     util::SimSeconds(0.0), 0, 0});
         }
 
-        telemetry::LedgerIteration row;
         row.iteration = ledger_iter++;
-        row.loss = loss_sum - loss_before_iter;  // this iteration's mean loss
         row.sim_time_s = util::SimSeconds(sim_time);
-        row.forward_s = util::WallSeconds(ledger_phases.forward * inv_ranks);
-        row.backward_s = util::WallSeconds(ledger_phases.backward * inv_ranks);
-        row.compress_s = util::WallSeconds(ledger_phases.compress * inv_ranks);
-        row.decompress_s = util::WallSeconds(ledger_phases.decompress * inv_ranks);
-        row.grad_norm = util::l2_norm(mean_true);
-        record_round_trip(row, mean_true, mean_recon, ledger_layout);
-        row.ratio = mean_ratio;
-        row.wire_bytes = wire_total;
-        if (const auto* ef =
-                dynamic_cast<const ErrorFeedbackCompressor*>(compressors[0].get())) {
-          row.ef_residual_norm = util::l2_norm(ef->residual());
-        }
+        row.forward_s *= inv_ranks;
+        row.backward_s *= inv_ranks;
+        row.compress_s *= inv_ranks;
+        row.decompress_s *= inv_ranks;
+        bsp::fill_row(row, loss_sum - loss_before_iter, mean_true, mean_recon, ledger_layout,
+                      mean_ratio, wire_total, *compressors[0]);
         ledger.end_iteration(row);
       }
 
       if (tracing) {
-        // Lay one BSP iteration onto each rank's simulated track, exactly
-        // as the accounting charged it: compute and codec phases back to
-        // back, then the bulk-synchronous exchange ending at the barrier.
+        // The rank loop laid each rank's compute and codec phases back to
+        // back; the bulk-synchronous exchange starts once the slowest rank
+        // is done, exactly as the accounting charged it.
         const double comm_start = iter_start_sim + slowest_rank;
         const double comm_sd = comm_s.to_double();
         const double sync_sd = sync_s.to_double();
+        telemetry::Tracer& tracer = telemetry::Tracer::global();
         for (std::size_t r = 0; r < config_.ranks; ++r) {
           const std::int32_t rank = static_cast<std::int32_t>(r);
-          double t = iter_start_sim;
-          tracer.record_sim_span(rank, "forward", "trainer", t, t + phases[r].forward);
-          t += phases[r].forward;
-          tracer.record_sim_span(rank, "backward", "trainer", t, t + phases[r].backward);
-          t += phases[r].backward;
-          tracer.record_sim_span(rank, "compress", "trainer", t, t + phases[r].compress);
-          t += phases[r].compress;
-          tracer.record_sim_span(rank, "decompress", "trainer", t, t + phases[r].decompress);
           tracer.record_sim_span(rank, exchange_kind, "comm", comm_start,
                                  comm_start + comm_sd);
           if (sync_sd > 0.0) {

@@ -3,7 +3,7 @@
 // The span tracer records, for every rank, a set of *leaf* spans with
 // category "cp" that partition the rank's simulated clock: modelled compute
 // phases (forward/backward/fft/quant_pack/wire_crc/inverse_fft/dequant/
-// apply, charged by the trainer's SimComputeModel), collective propagation
+// apply, charged from cluster_train's PhaseCosts), collective propagation
 // ("collective"), per-sender retransmission recovery ("retry", peer = the
 // faulted sender), injected straggler slowdown ("straggle"), and barrier
 // waits ("barrier", op = the barrier generation shared by every rank in the

@@ -118,14 +118,12 @@ struct LedgerCritpath {
 
 /// One automatic remediation taken by a recovery controller (see
 /// fftgrad/core/recovery.h): which monitor condition caused it, what action
-/// was applied, what it cost in simulated time, and how many iterations the
-/// condition took to clear. Recorded as a `remediation` row when the
+/// was applied, and how many iterations the condition took to clear. Recorded as a `remediation` row when the
 /// condition clears (or at end of run with recovered=false).
 struct LedgerRemediation {
   std::uint64_t iteration = 0;  ///< iteration the action was applied
   std::string cause;            ///< monitor name ("nan_gradient", ...)
   std::string action;           ///< "rollback" | "codec_fallback" | "theta_relax"
-  util::SimSeconds cost_s{};    ///< simulated time spent executing the remedy
   std::uint64_t iterations_to_recover = 0;  ///< applied -> signal cleared
   bool recovered = false;       ///< the signal cleared before the run ended
 };

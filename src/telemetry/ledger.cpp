@@ -205,7 +205,6 @@ void RunLedger::record_remediation(const LedgerRemediation& row) {
   std::ostringstream out;
   out << "{\"type\":\"remediation\",\"run\":" << run_id_ << ",\"iter\":" << row.iteration
       << ",\"cause\":" << json_string(row.cause) << ",\"action\":" << json_string(row.action)
-      << ",\"cost_s\":" << json_number(row.cost_s.to_double())
       << ",\"iterations_to_recover\":" << row.iterations_to_recover
       << ",\"recovered\":" << (row.recovered ? "true" : "false") << "}";
   write_line_locked(out.str());

@@ -362,9 +362,9 @@ std::vector<std::string> validate_ledger(const std::vector<LedgerRun>& runs) {
     }
     for (const JsonValue& remediation : run.remediations) {
       if (!is_string(remediation.find("cause")) || !is_string(remediation.find("action")) ||
-          !is_number(remediation.find("iter")) || !is_number(remediation.find("cost_s")) ||
+          !is_number(remediation.find("iter")) ||
           !is_number(remediation.find("iterations_to_recover"))) {
-        complain(i, "remediation row missing cause/action/iter/cost_s/iterations_to_recover");
+        complain(i, "remediation row missing cause/action/iter/iterations_to_recover");
       }
     }
     if (run.summary.kind == JsonValue::Kind::kObject) {

@@ -1,7 +1,7 @@
 // cluster_train: genuinely multi-threaded BSP training over SimCluster.
 // The key assertions: all replicas stay bit-identical (the BSP invariant
 // the sequential DistributedTrainer relies on), the result matches the
-// sequential trainer's parameters for lossless exchange, and compressed
+// sequential trainer's parameters bit for bit, and compressed
 // exchange still learns.
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 
 #include "fftgrad/core/baseline_compressors.h"
 #include "fftgrad/core/cluster_trainer.h"
+#include "fftgrad/core/error_feedback.h"
 #include "fftgrad/core/fft_compressor.h"
 #include "fftgrad/core/trainer.h"
 #include "fftgrad/nn/loss.h"
@@ -60,7 +61,11 @@ TEST(ClusterTrain, ReplicasStayBitIdenticalUnderFftCompression) {
   EXPECT_TRUE(result.replicas_identical);
 }
 
-TEST(ClusterTrain, MatchesSequentialTrainerLossless) {
+// Both trainers run the same rank-local step: the threaded one over three
+// real replicas and the allgather, the sequential one folding the ranks
+// onto one replica. Decoding every block in rank order and averaging with
+// the same 1/n weight makes their final parameters bit-identical.
+void expect_trainers_bit_identical(const CompressorFactory& codec_factory, double theta) {
   const std::uint64_t kSeed = 7;
   nn::SyntheticDataset data({8}, 3, 13);
 
@@ -71,9 +76,8 @@ TEST(ClusterTrain, MatchesSequentialTrainerLossless) {
   ccfg.iterations = 6;
   ccfg.learning_rate = 0.05f;
   ccfg.seed = kSeed;
-  const ClusterTrainResult threaded = cluster_train(
-      cluster, ccfg, mlp_factory(),
-      [](std::size_t) { return std::make_unique<NoopCompressor>(); }, data);
+  const ClusterTrainResult threaded =
+      cluster_train(cluster, ccfg, mlp_factory(), codec_factory, data);
 
   TrainerConfig scfg;
   scfg.ranks = 3;
@@ -85,17 +89,29 @@ TEST(ClusterTrain, MatchesSequentialTrainerLossless) {
   util::Rng rng(999);
   DistributedTrainer sequential(nn::models::make_mlp(8, 16, 2, 3, rng), data, scfg);
   nn::StepLrSchedule lr({{0, 0.05f}});
-  sequential.train([](std::size_t) { return std::make_unique<NoopCompressor>(); },
-                   FixedTheta(0.0), lr);
+  sequential.train(codec_factory, FixedTheta(theta), lr);
   std::vector<float> sequential_params(sequential.model().param_count());
   sequential.model().copy_params(sequential_params);
 
+  ASSERT_TRUE(threaded.replicas_identical);
   ASSERT_EQ(threaded.final_params.size(), sequential_params.size());
   for (std::size_t i = 0; i < sequential_params.size(); ++i) {
-    // Different float summation orders (allgather-average vs scaled
-    // accumulation) allow tiny round-off divergence over 6 steps.
-    EXPECT_NEAR(threaded.final_params[i], sequential_params[i], 2e-4f) << i;
+    EXPECT_EQ(threaded.final_params[i], sequential_params[i]) << i;
   }
+}
+
+TEST(ClusterTrain, MatchesSequentialTrainerLossless) {
+  expect_trainers_bit_identical([](std::size_t) { return std::make_unique<NoopCompressor>(); },
+                                0.0);
+}
+
+TEST(ClusterTrain, MatchesSequentialTrainerUnderErrorFeedbackFft) {
+  expect_trainers_bit_identical(
+      [](std::size_t) {
+        return std::make_unique<ErrorFeedbackCompressor>(std::make_unique<FftCompressor>(
+            FftCompressorOptions{.theta = 0.5, .quantizer_bits = 10}));
+      },
+      0.5);
 }
 
 TEST(ClusterTrain, CompressedTrainingReducesLoss) {

@@ -216,10 +216,10 @@ CpAnalysis traced_run(const core::ClusterTrainConfig& cfg, const comm::FaultPlan
   return analyze_critical_path(events);
 }
 
-core::SimComputeModel fig02_compute(double total_s) {
+core::PhaseCosts fig02_compute(double total_s) {
   // Split one iteration's modelled compute across the phases with fig02's
   // rough proportions (backprop dominates; codec stages small).
-  core::SimComputeModel m;
+  core::PhaseCosts m;
   m.forward_s = util::SimSeconds(0.25 * total_s);
   m.backward_s = util::SimSeconds(0.45 * total_s);
   m.fft_s = util::SimSeconds(0.08 * total_s);
@@ -292,14 +292,14 @@ TEST(CriticalPathIntegration, SixteenSeedDeterminism) {
   core::ClusterTrainConfig cfg;
   cfg.ranks = 4;
   cfg.iterations = 3;
-  cfg.sim_compute = core::SimComputeModel{.forward_s = util::SimSeconds(1e-4),
-                                          .backward_s = util::SimSeconds(2e-4),
-                                          .fft_s = util::SimSeconds(5e-5),
-                                          .quant_pack_s = util::SimSeconds(2e-5),
-                                          .wire_crc_s = util::SimSeconds(1e-5),
-                                          .inverse_fft_s = util::SimSeconds(4e-5),
-                                          .dequant_s = util::SimSeconds(2e-5),
-                                          .apply_s = util::SimSeconds(3e-5)};
+  cfg.sim_compute = core::PhaseCosts{.forward_s = util::SimSeconds(1e-4),
+                                     .backward_s = util::SimSeconds(2e-4),
+                                     .fft_s = util::SimSeconds(5e-5),
+                                     .quant_pack_s = util::SimSeconds(2e-5),
+                                     .wire_crc_s = util::SimSeconds(1e-5),
+                                     .inverse_fft_s = util::SimSeconds(4e-5),
+                                     .dequant_s = util::SimSeconds(2e-5),
+                                     .apply_s = util::SimSeconds(3e-5)};
   for (std::uint64_t seed = 0; seed < 16; ++seed) {
     cfg.seed = seed;
     const std::string first = serialize_critpath(traced_run(cfg, nullptr));
@@ -317,8 +317,8 @@ TEST(CriticalPathIntegration, ChaosTimeAttributedToFaultedRank) {
   cfg.ranks = 4;
   cfg.iterations = 12;
   cfg.seed = 9;
-  cfg.sim_compute = core::SimComputeModel{.forward_s = util::SimSeconds(1e-4),
-                                          .backward_s = util::SimSeconds(2e-4)};
+  cfg.sim_compute = core::PhaseCosts{.forward_s = util::SimSeconds(1e-4),
+                                     .backward_s = util::SimSeconds(2e-4)};
 
   comm::FaultPlan plan;
   plan.seed = 2020;

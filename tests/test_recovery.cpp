@@ -149,14 +149,12 @@ TEST(RecoveryController_, ResidualGrowthRelaxesTheta) {
   const auto actions = controller.step(7, growth);
   ASSERT_EQ(actions.size(), 1u);
   EXPECT_EQ(actions[0], RemedyAction::kThetaRelax);
-  controller.charge(util::SimSeconds(0.25));
   EXPECT_TRUE(controller.step(8, growth).empty());  // pending: no duplicate
   EXPECT_TRUE(controller.step(9, HealthFlags{}).empty());
   const auto closed = controller.drain_closed();
   ASSERT_EQ(closed.size(), 1u);
   EXPECT_EQ(closed[0].cause, "residual_growth");
   EXPECT_EQ(closed[0].action, "theta_relax");
-  EXPECT_EQ(closed[0].cost_s, util::SimSeconds(0.25));
 }
 
 TEST(RecoveryController_, FinishReportsUnrecoveredPendings) {
@@ -218,23 +216,6 @@ TEST(RecoveryController_, RejectsMalformedDecisionState) {
   EXPECT_THROW(sink.load_decision_state(bad_cause), std::runtime_error);
   // The valid blob still loads after the failures above.
   EXPECT_NO_THROW(sink.load_decision_state(blob));
-}
-
-TEST(RecoveryPolicy_, FromEnvReadsEveryKnob) {
-  ::setenv("FFTGRAD_RECOVERY", "1", 1);
-  ::setenv("FFTGRAD_RECOVERY_SNAPSHOT_EVERY", "4", 1);
-  ::setenv("FFTGRAD_RECOVERY_STREAK", "7", 1);
-  ::setenv("FFTGRAD_RECOVERY_THETA_FACTOR", "0.25", 1);
-  const RecoveryPolicy policy = RecoveryPolicy::from_env();
-  ::unsetenv("FFTGRAD_RECOVERY");
-  ::unsetenv("FFTGRAD_RECOVERY_SNAPSHOT_EVERY");
-  ::unsetenv("FFTGRAD_RECOVERY_STREAK");
-  ::unsetenv("FFTGRAD_RECOVERY_THETA_FACTOR");
-  EXPECT_TRUE(policy.enabled);
-  EXPECT_EQ(policy.snapshot_every, 4u);
-  EXPECT_EQ(policy.ratio_collapse_streak, 7u);
-  EXPECT_DOUBLE_EQ(policy.theta_relax_factor, 0.25);
-  EXPECT_FALSE(RecoveryPolicy::from_env().enabled);  // unset: disabled again
 }
 
 // ---------------------------------------------------------------------------
@@ -469,10 +450,8 @@ TEST(RecoveryLedger, RemediationRowRoundTripsThroughTheReader) {
   RunLedger& ledger = RunLedger::global();
   ledger.begin_run({"test", "noop", 1, 1, 0, {}, 0.0});
   ledger.end_iteration({});
-  ledger.record_remediation(
-      {4, "ratio_collapse", "codec_fallback", util::SimSeconds(0.125), 2, true});
-  ledger.record_remediation(
-      {9, "nan_gradient", "rollback", util::SimSeconds(0.0), 5, false});
+  ledger.record_remediation({4, "ratio_collapse", "codec_fallback", 2, true});
+  ledger.record_remediation({9, "nan_gradient", "rollback", 5, false});
   ledger.end_run();
   RunLedger::global().close();
 
@@ -484,7 +463,7 @@ TEST(RecoveryLedger, RemediationRowRoundTripsThroughTheReader) {
   EXPECT_EQ(row.number_or("iter", -1.0), 4.0);
   EXPECT_EQ(row.string_or("cause", ""), "ratio_collapse");
   EXPECT_EQ(row.string_or("action", ""), "codec_fallback");
-  EXPECT_DOUBLE_EQ(row.number_or("cost_s", -1.0), 0.125);
+  EXPECT_EQ(row.find("cost_s"), nullptr);  // nothing charges a remedy's cost
   EXPECT_EQ(row.number_or("iterations_to_recover", -1.0), 2.0);
   ASSERT_NE(row.find("recovered"), nullptr);
   EXPECT_TRUE(row.find("recovered")->boolean);

@@ -6,6 +6,8 @@
 #include <memory>
 
 #include "fftgrad/core/baseline_compressors.h"
+#include "fftgrad/core/cluster_trainer.h"
+#include "fftgrad/core/error_feedback.h"
 #include "fftgrad/core/fft_compressor.h"
 #include "fftgrad/core/trainer.h"
 #include "fftgrad/nn/models.h"
@@ -133,6 +135,68 @@ TEST(Accounting, WireScaleKeepsCompressionRatioInvariant) {
         .mean_ratio;
   };
   EXPECT_NEAR(run(8e6), run(250e6), 1e-9);
+}
+
+// The modelled outputs pinned to the last bit. A change to the step or the
+// cost model that moves any of them — a reordered sum, a re-derived phase
+// split — fails here even where the closed-form checks above, which hold
+// to 1e-9 or 2%, cannot see it. compute_seconds = 0.23 is a value for
+// which c/3 + 2c/3 != c in double precision, so a rank time summed from
+// the forward/backward split instead of the configured total shows up.
+std::unique_ptr<GradientCompressor> ef_fft(std::size_t) {
+  return std::make_unique<ErrorFeedbackCompressor>(
+      std::make_unique<FftCompressor>(FftCompressorOptions{.theta = 0.5, .quantizer_bits = 10}));
+}
+
+double pinned_paper_run(CommScheme scheme) {
+  TrainerConfig cfg = base_config();
+  cfg.iters_per_epoch = 3;
+  cfg.param_sync_every = 2;
+  cfg.scheme = scheme;
+  cfg.paper_scale->compute_seconds = 0.23;
+  DistributedTrainer trainer = make_trainer(cfg);
+  return trainer.train(ef_fft, FixedTheta(0.5), nn::StepLrSchedule({{0, 0.01f}}))
+      .total_sim_time_s;
+}
+
+TEST(Accounting, PinnedPaperScaleBspSimTime) {
+  EXPECT_EQ(pinned_paper_run(CommScheme::kBspAllgather), 0x1.65eccd916d55ep-1);
+}
+
+TEST(Accounting, PinnedPaperScaleParameterServerSimTime) {
+  EXPECT_EQ(pinned_paper_run(CommScheme::kParameterServer), 0x1.6c5946a8213e2p-1);
+}
+
+TEST(Accounting, PinnedClusterModelledComputeRankTimes) {
+  ClusterTrainConfig cfg;
+  cfg.ranks = 3;
+  cfg.iterations = 4;
+  cfg.seed = 21;
+  cfg.sim_compute = PhaseCosts{.forward_s = util::SimSeconds(0.023),
+                               .backward_s = util::SimSeconds(0.046),
+                               .fft_s = util::SimSeconds(7e-3),
+                               .quant_pack_s = util::SimSeconds(3e-3),
+                               .wire_crc_s = util::SimSeconds(1.1e-3),
+                               .inverse_fft_s = util::SimSeconds(6e-3),
+                               .dequant_s = util::SimSeconds(2.3e-3),
+                               .apply_s = util::SimSeconds(1.7e-3)};
+  comm::SimCluster cluster(comm::NetworkModel::ethernet_10g());
+  const ClusterTrainResult result = cluster_train(
+      cluster, cfg,
+      [] {
+        util::Rng rng(17);
+        return nn::models::make_mlp(8, 8, 2, 2, rng);
+      },
+      ef_fft, nn::SyntheticDataset({8}, 2, 18));
+  // Analysis builds frame a causality trailer into every packet, so the
+  // allgather moves more bytes and the clocks end later.
+#if FFTGRAD_ANALYSIS
+  constexpr double kRankTime = 0x1.7136f6779b36p-2;
+#else
+  constexpr double kRankTime = 0x1.7136de6a57578p-2;
+#endif
+  ASSERT_EQ(result.rank_sim_times.size(), 3u);
+  for (util::SimSeconds t : result.rank_sim_times) EXPECT_EQ(t.to_double(), kRankTime);
 }
 
 }  // namespace
