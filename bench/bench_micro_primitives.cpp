@@ -1,14 +1,16 @@
 // Microbenchmarks of the four compression primitives of the Sec 3.3 cost
 // model (Tm: precision conversion, Tf: FFT, Ts: top-k selection, Tp: see
 // bench_packing) plus the end-to-end codecs. The measured bytes/second here
-// are this substrate's inputs to the Fig 10 analytic model.
+// are this substrate's inputs to the Fig 10 analytic model. Every benchmark
+// uses real time: the fp16, quantizer, top-k and codec kernels split their
+// work over the thread pool, so main-thread CPU time would undercount them and
+// overstate bytes/second. `--benchmark_out=<file>` writes the results as
+// JSON.
 #include <benchmark/benchmark.h>
 
-#include <string>
-#include <utility>
+#include <cmath>
 #include <vector>
 
-#include "bench_common.h"
 #include "fftgrad/core/baseline_compressors.h"
 #include "fftgrad/core/fft_compressor.h"
 #include "fftgrad/fft/fft.h"
@@ -38,7 +40,7 @@ void BM_HalfRoundTrip(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.size() * sizeof(float)));
 }
-BENCHMARK(BM_HalfRoundTrip)->Arg(1 << 18)->Arg(1 << 21);
+BENCHMARK(BM_HalfRoundTrip)->Arg(1 << 18)->Arg(1 << 21)->UseRealTime();
 
 void BM_RangeQuantEncode(benchmark::State& state) {
   const auto g = gradient_like(static_cast<std::size_t>(state.range(0)));
@@ -51,7 +53,7 @@ void BM_RangeQuantEncode(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.size() * sizeof(float)));
 }
-BENCHMARK(BM_RangeQuantEncode)->Arg(1 << 18)->Arg(1 << 21);
+BENCHMARK(BM_RangeQuantEncode)->Arg(1 << 18)->Arg(1 << 21)->UseRealTime();
 
 void BM_FftForward(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -65,7 +67,11 @@ void BM_FftForward(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * sizeof(float)));
 }
-BENCHMARK(BM_FftForward)->Arg(1 << 16)->Arg(1 << 20)->Arg((1 << 20) + 1);  // last: Bluestein
+BENCHMARK(BM_FftForward)
+    ->Arg(1 << 16)
+    ->Arg(1 << 20)
+    ->Arg((1 << 20) + 1)  // last: Bluestein
+    ->UseRealTime();
 
 void BM_TopKSelect(benchmark::State& state) {
   const auto g = gradient_like(static_cast<std::size_t>(state.range(0)));
@@ -83,7 +89,8 @@ void BM_TopKSelect(benchmark::State& state) {
 BENCHMARK(BM_TopKSelect)
     ->Args({1 << 20, static_cast<long>(sparse::TopKMethod::kSort)})
     ->Args({1 << 20, static_cast<long>(sparse::TopKMethod::kNthElement)})
-    ->Args({1 << 20, static_cast<long>(sparse::TopKMethod::kBucket)});
+    ->Args({1 << 20, static_cast<long>(sparse::TopKMethod::kBucket)})
+    ->UseRealTime();
 
 void BM_FftCompressorEndToEnd(benchmark::State& state) {
   const auto g = gradient_like(static_cast<std::size_t>(state.range(0)));
@@ -97,7 +104,7 @@ void BM_FftCompressorEndToEnd(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.size() * sizeof(float)));
 }
-BENCHMARK(BM_FftCompressorEndToEnd)->Arg(1 << 18);
+BENCHMARK(BM_FftCompressorEndToEnd)->Arg(1 << 18)->UseRealTime();
 
 void BM_TopKCompressorEndToEnd(benchmark::State& state) {
   const auto g = gradient_like(static_cast<std::size_t>(state.range(0)));
@@ -111,7 +118,7 @@ void BM_TopKCompressorEndToEnd(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.size() * sizeof(float)));
 }
-BENCHMARK(BM_TopKCompressorEndToEnd)->Arg(1 << 18);
+BENCHMARK(BM_TopKCompressorEndToEnd)->Arg(1 << 18)->UseRealTime();
 
 void BM_QsgdCompressorEndToEnd(benchmark::State& state) {
   const auto g = gradient_like(static_cast<std::size_t>(state.range(0)));
@@ -125,7 +132,7 @@ void BM_QsgdCompressorEndToEnd(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.size() * sizeof(float)));
 }
-BENCHMARK(BM_QsgdCompressorEndToEnd)->Arg(1 << 18);
+BENCHMARK(BM_QsgdCompressorEndToEnd)->Arg(1 << 18)->UseRealTime();
 
 void BM_TernGradCompressorEndToEnd(benchmark::State& state) {
   const auto g = gradient_like(static_cast<std::size_t>(state.range(0)));
@@ -139,44 +146,8 @@ void BM_TernGradCompressorEndToEnd(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.size() * sizeof(float)));
 }
-BENCHMARK(BM_TernGradCompressorEndToEnd)->Arg(1 << 18);
-
-/// Console reporter that additionally collects every iteration run as
-/// (metric, value) pairs — per-iteration real seconds plus the
-/// bytes_per_second counter — so the binary can stamp a BENCH_*.json
-/// snapshot for scripts/bench_all.sh and the bench_diff gate.
-class JsonEmittingReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
-      std::string key = run.benchmark_name();
-      for (char& c : key) {
-        if (c == '/') c = '.';
-      }
-      const double iterations =
-          run.iterations > 0 ? static_cast<double>(run.iterations) : 1.0;
-      metrics.emplace_back(key + ".real_s", run.real_accumulated_time / iterations);
-      const auto bytes = run.counters.find("bytes_per_second");
-      if (bytes != run.counters.end()) {
-        metrics.emplace_back(key + ".bytes_per_second",
-                             static_cast<double>(bytes->second));
-      }
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-
-  std::vector<std::pair<std::string, double>> metrics;
-};
+BENCHMARK(BM_TernGradCompressorEndToEnd)->Arg(1 << 18)->UseRealTime();
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  JsonEmittingReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  fftgrad::bench::emit_json("micro_primitives", reporter.metrics);
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -12,9 +12,8 @@
 //   span_profiled_ns   per-span cost while sampling at 97 Hz    (lower better)
 //   profiler_tax_pct   instrumented-workload slowdown, on vs off [%]
 //
-// profiler_tax_pct is intentionally suffix-neutral for scripts/bench_diff:
-// on a loaded single-core CI box the measured tax of a sub-2% effect is
-// noise-dominated, so the gate watches the _ns costs instead.
+// On a loaded single-core box the measured tax of a sub-2% effect is
+// noise-dominated; the _ns costs are the steadier reading.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>

@@ -4,9 +4,8 @@
 // p2p transfer whose simulated cost we report alongside the measured blob
 // bytes; (2) the fault-free tax of arming the recovery layer — one extra
 // 4-word flag allreduce per iteration plus periodic snapshot copies —
-// reported as armed-vs-disabled wall time on an otherwise identical run.
-// The second number is the one scripts/bench_diff gates: arming recovery
-// on a healthy cluster must stay cheap.
+// reported as armed-vs-disabled wall time on an otherwise identical run:
+// arming recovery on a healthy cluster must stay cheap.
 #include <chrono>
 #include <cstdio>
 #include <memory>

@@ -131,11 +131,13 @@ for preset in "${presets[@]}"; do
     run_step "$preset" profile ctest --preset "$preset" -j "$jobs" -L profile
     run_step "$preset" profile-e2e scripts/profile_gate.sh "$build_dir"
   fi
-  # Perf-trajectory gate: bench_diff must fire on an injected slowdown
-  # (selftest) and pass the committed BENCH_*.json baseline against
-  # itself. Release only — sanitizer timings are not comparable anyway.
   if [[ "$preset" == default ]]; then
-    run_step "$preset" bench-diff scripts/bench_diff --build-dir build
+    # The host-time benchmark's own tests: build perfbench against the
+    # current src/, run every workload at smoke size, and check the result
+    # schema, correctness and seed determinism. A library change that
+    # breaks the benchmark fails here. No timings are compared; timing is
+    # judged by paired perfbench runs on one host (perfbench/README.md).
+    run_step "$preset" perfbench python3 perfbench/tests/test_perfbench.py
     # Unit/trust-boundary lint gate: fftgrad_lint selftest (the seeded
     # violation fixtures must all still be caught) followed by the scoped
     # tree scan against the audited allowlist. Gating: a finding or a

@@ -293,13 +293,21 @@ TEST(AnnotatedGuards, MutexWrapperExcludesSecondOwner) {
 /// Execution order of 8 gated tasks on a single-worker pool under `seed`.
 /// The worker is parked on a gate task while the queue fills, so every
 /// dequeue decision sees the full queue and the stress permutation is a
-/// pure function of the seed.
+/// pure function of the seed. The tasks are submitted only once the gate
+/// has started: a worker that starts late (as threads do under TSan)
+/// would otherwise make its first seeded pick among the gate and however
+/// many tasks were queued by then.
 std::vector<int> pool_execution_order(std::uint64_t seed) {
   analysis::ScheduleStressScope scope(seed);
   parallel::ThreadPool pool(1);
+  std::promise<void> started;
   std::promise<void> go;
   std::shared_future<void> go_future = go.get_future().share();
-  std::future<void> gate = pool.submit([go_future] { go_future.wait(); });
+  std::future<void> gate = pool.submit([&started, go_future] {
+    started.set_value();
+    go_future.wait();
+  });
+  started.get_future().wait();
 
   std::mutex order_mutex;
   std::vector<int> order;

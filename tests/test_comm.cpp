@@ -37,6 +37,33 @@ TEST(NetworkModel, AllgatherGrowsLinearlyWithRanks) {
   EXPECT_NEAR(t32 / t16, 31.0 / 15.0, 1e-9);
 }
 
+TEST(NetworkModel, Fig11AllgatherTimesArePinned) {
+  // bench_fig11_allgather's twelve values (ms, as it prints and emits them),
+  // pinned exactly: any change to the FDR56 profile or the allgather cost
+  // formula moves a reproduced figure and must be made on purpose.
+  struct Row {
+    std::size_t gpus;
+    double alexnet_ms;  // 250 MB gradient
+    double resnet_ms;   // 6 MB gradient
+  };
+  const Row rows[] = {
+      {2, 35.715285714285713, 0.8581428571428571},
+      {4, 107.14585714285714, 2.5744285714285713},
+      {8, 250.00699999999998, 6.0070000000000006},
+      {16, 535.72928571428565, 12.872142857142856},
+      {24, 821.45157142857136, 19.737285714285715},
+      {32, 1107.1738571428571, 26.602428571428572},
+  };
+  const NetworkModel net = NetworkModel::infiniband_fdr56();
+  for (const Row& row : rows) {
+    EXPECT_EQ(net.allgather_time(util::Bytes(250e6), row.gpus).to_double() * 1e3,
+              row.alexnet_ms)
+        << row.gpus << " GPUs";
+    EXPECT_EQ(net.allgather_time(util::Bytes(6e6), row.gpus).to_double() * 1e3, row.resnet_ms)
+        << row.gpus << " GPUs";
+  }
+}
+
 TEST(NetworkModel, AllgathervGatedByLargestBlock) {
   NetworkModel net{"test", util::SimSeconds(0.0), util::BytesPerSecond(1e6)};
   std::vector<util::Bytes> blocks = {util::Bytes(10.0), util::Bytes(1000.0),
